@@ -25,10 +25,11 @@ per-stage timing table and accept ``--metrics-out PATH`` to dump the
 full metrics snapshot as JSON (see docs/observability.md). Bad input
 paths exit with status 2 instead of a traceback.
 
-Parallelism: ``detect`` and ``cluster`` accept ``--workers N`` (``0``
-serial, ``auto`` one per CPU) and ``--parallel-backend`` to fan the
-embedding stage out over workers; embeddings are byte-identical to the
-serial run for the same seed (see docs/parallelism.md).
+Parallelism: ``detect`` and ``cluster`` accept ``--workers N``
+(``auto``, the default, one per usable CPU; ``0`` serial) and
+``--parallel-backend`` to fan LINE training and CV folds out over
+workers; results are byte-identical to the serial run for the same
+seed (see docs/parallelism.md).
 
 Out-of-core ingestion: ``detect`` and ``cluster`` accept
 ``--chunk-records`` / ``--chunk-seconds`` to stream the trace in
@@ -198,6 +199,9 @@ def _parse_workers(value: str) -> int | str:
     if workers < 0:
         raise argparse.ArgumentTypeError("workers must be non-negative")
     return workers
+
+
+_PARALLEL_DEFAULTS = ParallelConfig()
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -689,12 +693,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--dimension", type=int, default=16)
     p_detect.add_argument("--seed", type=int, default=13)
     p_detect.add_argument("--top", type=int, default=15)
-    p_detect.add_argument("--workers", type=_parse_workers, default=0,
-                          metavar="N",
-                          help="embedding workers: 0 serial (default), "
-                          "'auto' for one per CPU, or a count")
+    p_detect.add_argument("--workers", type=_parse_workers,
+                          default=_PARALLEL_DEFAULTS.workers, metavar="N",
+                          help="LINE and CV workers: 'auto' (default) one "
+                          "per usable CPU, 0 serial, or a count")
     p_detect.add_argument("--parallel-backend", choices=list(BACKENDS),
-                          default="process",
+                          default=_PARALLEL_DEFAULTS.backend,
                           help="worker backend when --workers > 1")
     p_detect.add_argument("--line-kernel", choices=list(KERNELS),
                           default="segment",
@@ -724,12 +728,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--dimension", type=int, default=16)
     p_cluster.add_argument("--seed", type=int, default=13)
     p_cluster.add_argument("--k-max", type=int, default=50)
-    p_cluster.add_argument("--workers", type=_parse_workers, default=0,
-                           metavar="N",
-                           help="embedding workers: 0 serial (default), "
-                           "'auto' for one per CPU, or a count")
+    p_cluster.add_argument("--workers", type=_parse_workers,
+                           default=_PARALLEL_DEFAULTS.workers, metavar="N",
+                           help="LINE and CV workers: 'auto' (default) one "
+                           "per usable CPU, 0 serial, or a count")
     p_cluster.add_argument("--parallel-backend", choices=list(BACKENDS),
-                           default="process",
+                           default=_PARALLEL_DEFAULTS.backend,
                            help="worker backend when --workers > 1")
     p_cluster.add_argument("--line-kernel", choices=list(KERNELS),
                            default="segment",

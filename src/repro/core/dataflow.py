@@ -439,8 +439,8 @@ class EmbedStage(
     """Train LINE per view and assemble the feature space (section 5.2).
 
     The per-view trainings (and, for ``order="both"``, the per-order
-    halves) run under the parallel policy — serially by default, fanned
-    out over thread or process workers when configured. The resulting
+    halves) run under the parallel policy — over process workers by
+    default, serially where the policy falls back. The resulting
     vectors are byte-identical either way.
     """
 

@@ -103,10 +103,11 @@ class PipelineConfig:
             views (and both orders of ``order="both"``) train as
             independent tasks under it — and for
             :meth:`MaliciousDomainDetector.cross_validate`, whose folds
-            fan out under the same config. The default (``workers=0``)
-            is fully serial; any backend produces byte-identical
-            embeddings and fold scores for the same seed (see
-            ``docs/parallelism.md``).
+            fan out under the same config. The default
+            (``workers="auto"``) uses one worker per usable CPU and
+            falls back to serial on one CPU or for small graphs; any
+            backend produces byte-identical embeddings and fold scores
+            for the same seed (see ``docs/parallelism.md``).
         classifier: SVM settings for the classify stage — the paper's
             C/gamma plus the solver selection (``"cached"`` row-cache
             SMO by default, ``"dense"`` reference) and its
@@ -350,9 +351,10 @@ class MaliciousDomainDetector:
         """Train LINE per view and assemble the feature space.
 
         The per-view trainings (and, for ``order="both"``, the per-order
-        halves) run under ``config.parallel`` — serially by default,
-        fanned out over thread or process workers when configured. The
-        resulting vectors are byte-identical either way.
+        halves) run under ``config.parallel`` — over one process worker
+        per usable CPU by default, serially on one CPU or below
+        ``min_parallel_weight``. The resulting vectors are
+        byte-identical either way.
 
         Args:
             progress: Optional :class:`repro.obs.ProgressCallback`

@@ -19,8 +19,7 @@ the remainder, so worst-case cost stays O(n).
 
 The tables themselves (``probabilities`` / ``aliases``) are exposed
 read-only, and :meth:`AliasSampler.from_tables` rebuilds a sampler from
-them without re-running construction — this is how the parallel training
-layer ships prebuilt tables to worker processes through shared memory.
+them without re-running construction.
 """
 
 from __future__ import annotations
@@ -138,8 +137,7 @@ class AliasSampler:
     ) -> "AliasSampler":
         """Wrap prebuilt tables without re-running construction.
 
-        The arrays are used as-is (no copy), so shared-memory-backed
-        views stay zero-copy in worker processes.
+        The arrays are used as-is (no copy).
         """
         probabilities = np.asarray(probabilities, dtype=np.float64)
         aliases = np.asarray(aliases, dtype=np.int64)

@@ -21,20 +21,12 @@ interchangeable inner loops (*kernels*) that execute one task:
     behavioral reference the segment kernel is validated against, and
     as the fallback of record when reading the math.
 
-Scatter strategy. ``np.add.at`` applies updates sequentially in input
-order, which is exactly what a CSC sparse matrix-times-dense-block
-product computes when every update is one matrix entry: with
-``A[indices[i], i] = data[i]``, ``out += A @ X`` accumulates
-``data[i] * X[i]`` into ``out[indices[i]]`` column by column — the same
-additions in the same order, run by compiled code. The kernel uses
-scipy's internal ``csc_matvecs``/``csr_matvecs`` routines for this
-(they accumulate straight into the output array with no intermediate),
-and falls back to ``np.add.at`` when they are unavailable; both paths
-produce bit-identical tables. ``np.argsort`` + ``np.add.reduceat`` and
-per-dimension ``np.bincount`` were benchmarked as alternatives and
-lost: numpy's stable int64 argsort costs more than the whole fused
-batch, and bincount materializes per-dimension temporaries whose
-final ``out += tmp`` changes summation order.
+Scatter strategy: the segment kernel's gradient scatters are compiled
+CSC/CSR products that add in ``np.add.at``'s order (:mod:`repro.scatter`),
+with ``np.add.at`` as the fallback; both give bit-identical tables.
+``np.argsort`` + ``np.add.reduceat`` and per-dimension ``np.bincount``
+lost to it: the stable argsort costs more than the whole fused batch,
+and bincount's final ``out += tmp`` changes summation order.
 
 Determinism: each kernel is a pure function of (arrays, config, rng
 state), so for a fixed seed and kernel the serial, thread, and process
@@ -54,6 +46,9 @@ import numpy as np
 from repro.embedding.alias import AliasSampler
 from repro.errors import EmbeddingError
 from repro.obs.progress import ProgressCallback
+from repro.scatter import HAVE_SPARSETOOLS as _HAVE_SPARSETOOLS
+from repro.scatter import segment_scatter_add
+from repro.scatter import sparsetools as _sparsetools
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.embedding.line import LineConfig
@@ -82,16 +77,6 @@ _CHUNK_BATCHES = 8
 
 _INT32_MAX = np.iinfo(np.int32).max
 
-try:  # scipy's compiled CSC/CSR accumulation routines (private module).
-    from scipy.sparse import _sparsetools
-
-    _HAVE_SPARSETOOLS = callable(
-        getattr(_sparsetools, "csc_matvecs", None)
-    ) and callable(getattr(_sparsetools, "csr_matvecs", None))
-except Exception:  # pragma: no cover - scipy always present in this repo
-    _sparsetools = None  # type: ignore[assignment]
-    _HAVE_SPARSETOOLS = False
-
 
 def _index_dtype(*sizes: int) -> type[np.signedinteger]:
     """Narrowest index dtype that can address every given size."""
@@ -115,8 +100,6 @@ def prepare_edge_arrays(
 
     Returns ``(sources, targets, sample_weights)``; build the edge
     :class:`~repro.embedding.alias.AliasSampler` over ``sample_weights``.
-    Callers on the shared-memory path ship exactly these arrays so
-    worker processes train on the same bytes the serial path uses.
     """
     if kernel not in KERNELS:
         raise EmbeddingError(
@@ -134,37 +117,6 @@ def prepare_edge_arrays(
     targets = np.concatenate([cols, rows]).astype(dtype, copy=False)
     doubled = np.concatenate([weights, weights]).astype(np.float64, copy=False)
     return sources, targets, doubled
-
-
-def segment_scatter_add(
-    out: np.ndarray, indices: np.ndarray, updates: np.ndarray
-) -> None:
-    """``out[indices[i]] += updates[i]`` with ``np.add.at`` semantics.
-
-    Duplicate indices accumulate sequentially in input order — the same
-    additions in the same order as ``np.add.at``, so results match it
-    bit for bit — but through a compiled CSC product instead of the
-    ufunc inner loop, which is an order of magnitude faster for the
-    row-block updates LINE performs.
-    """
-    count = int(indices.shape[0])
-    if count == 0:
-        return
-    if not _HAVE_SPARSETOOLS:  # pragma: no cover - scipy always present
-        np.add.at(out, indices, updates)
-        return
-    indices = np.ascontiguousarray(indices)
-    indptr = np.arange(count + 1, dtype=indices.dtype)
-    _sparsetools.csc_matvecs(
-        out.shape[0],
-        count,
-        out.shape[1],
-        indptr,
-        indices,
-        np.ones(count),
-        np.ascontiguousarray(updates),
-        out,
-    )
 
 
 class _ProgressMeter:
@@ -522,9 +474,10 @@ def train_single_order(
     """Dispatch one single-order training run to ``config.kernel``.
 
     The edge arrays and sampler must have been prepared for that kernel
-    (:func:`prepare_edge_arrays`); both the serial path and the
-    shared-memory worker path satisfy this by construction, which is
-    what keeps serial/thread/process output byte-identical per kernel.
+    (:func:`prepare_edge_arrays`); the serial path and every pool
+    worker build them with ``repro.embedding.line._training_inputs``,
+    which is what keeps serial/thread/process output byte-identical per
+    kernel.
     """
     try:
         kernel = _KERNEL_FUNCS[config.kernel]

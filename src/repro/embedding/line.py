@@ -234,6 +234,27 @@ def _train_single_order(
     )
 
 
+def _training_inputs(
+    graph: SimilarityGraph, config: LineConfig
+) -> tuple[np.ndarray, np.ndarray, AliasSampler, AliasSampler]:
+    """``(sources, targets, edge_sampler, noise_sampler)`` for one view.
+
+    Edges are laid out for ``config.kernel`` (``prepare_edge_arrays``);
+    noise follows degree^0.75. The serial path and every pool worker
+    call this one function, so every backend trains on the same bytes.
+    """
+    sources, targets, sample_weights = prepare_edge_arrays(
+        graph.rows, graph.cols, graph.weights, config.kernel
+    )
+    degrees = graph.degree_array()
+    return (
+        sources,
+        targets,
+        AliasSampler(sample_weights),
+        AliasSampler(np.power(np.maximum(degrees, 1e-12), 0.75)),
+    )
+
+
 def _finalize_vectors(vectors: np.ndarray, config: LineConfig) -> np.ndarray:
     """Apply the ``normalize`` / ``vector_scale`` contract to raw output.
 
@@ -324,13 +345,9 @@ def train_line(
             return train_views([(graph.kind, graph, config)], parallel,
                                progress)[graph.kind]
 
-    sources, targets, sample_weights = prepare_edge_arrays(
-        graph.rows, graph.cols, graph.weights, config.kernel
+    sources, targets, edge_sampler, noise_sampler = _training_inputs(
+        graph, config
     )
-    edge_sampler = AliasSampler(sample_weights)
-    degrees = graph.degree_array()
-    noise_sampler = AliasSampler(np.power(np.maximum(degrees, 1e-12), 0.75))
-
     started = time.perf_counter()
     vectors = np.empty((graph.node_count, config.dimension))
     for task in tasks:

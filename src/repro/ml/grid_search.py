@@ -8,9 +8,9 @@ k-fold, scored by ROC AUC.
 Every (cell x fold) evaluation is independent, so with a
 :class:`~repro.parallel.ParallelConfig` the whole grid fans out through
 ``repro.parallel.run_tasks`` as one flat task batch — fold splits are
-derived once in the caller and shared by every cell, the feature matrix
-rides a shared-memory pack, and serial/thread/process backends return
-byte-identical evaluations.
+derived once in the caller and shared by every cell, process workers
+inherit the feature matrix through ``fork``, and serial/thread/process
+backends return byte-identical evaluations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.ml.model_selection import (
 )
 from repro.obs.metrics import default_registry
 from repro.parallel.executor import ParallelConfig, run_tasks
-from repro.parallel.shm import ArrayPack
 
 
 @dataclass(slots=True)
@@ -123,7 +122,13 @@ def grid_search(
             for params in cells
             for train, test in splits
         ]
-        outputs = _run_grid_tasks(features, labels, tasks, parallel)
+        outputs = run_tasks(
+            _fit_and_score_fold,
+            tasks,
+            parallel,
+            shared=(np.asarray(features), labels),
+            label="cv.grid",
+        )
         for index, params in enumerate(cells):
             scores = np.zeros(labels.size)
             for fold_number, (__, test) in enumerate(splits):
@@ -148,31 +153,3 @@ def grid_search(
         evaluations=evaluations,
     )
 
-
-def _run_grid_tasks(
-    features: np.ndarray,
-    labels: np.ndarray,
-    tasks: list[tuple[_CellFactory, np.ndarray, np.ndarray]],
-    parallel: ParallelConfig,
-) -> list[np.ndarray]:
-    """Run heterogeneous (factory, train, test) tasks through one pool.
-
-    The data is packed once and the flat batch submitted directly —
-    going through ``run_fold_tasks`` per cell would re-open the pool for
-    every grid cell.
-    """
-    backend = parallel.resolved_backend()
-    with ArrayPack(
-        {"features": np.asarray(features), "labels": labels},
-        use_shm=backend == "process",
-    ) as pack:
-        payloads = [
-            (pack.spec, factory, train, test) for factory, train, test in tasks
-        ]
-        return run_tasks(
-            _fit_and_score_fold,
-            payloads,
-            parallel,
-            backend=backend,
-            label="cv.grid",
-        )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import NotFittedError
+from repro.scatter import segment_scatter_add
 
 
 def cluster_sums(
@@ -17,12 +18,13 @@ def cluster_sums(
     """Per-cluster feature sums and member counts in one scatter pass.
 
     Replaces the per-cluster ``data[labels == c].sum()`` loop (k boolean
-    scans over n samples) with a single ``np.add.at`` scatter plus a
-    ``bincount`` — O(n·d) total regardless of k. Shared by the k-means
-    Lloyd update and the X-Means split loop.
+    scans over n samples) with a single compiled scatter plus a
+    ``bincount`` — O(n·d) total regardless of k. The scatter adds in
+    ``np.add.at``'s order, so the sums match it bit for bit. Shared by
+    the k-means Lloyd update and the X-Means split loop.
     """
     sums = np.zeros((n_clusters, data.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, data)
+    segment_scatter_add(sums, labels, np.asarray(data, dtype=np.float64))
     counts = np.bincount(labels, minlength=n_clusters)
     return sums, counts
 

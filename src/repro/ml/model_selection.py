@@ -8,11 +8,11 @@ group, then average. :class:`StratifiedKFold` additionally preserves the
 Fold evaluations are independent, so :func:`cross_validated_scores` can
 fan them out through :func:`repro.parallel.run_tasks`. The determinism
 contract matches the embedding layer's: fold splits are derived exactly
-once in the caller (a pure function of ``seed``), the feature matrix is
-shipped to process workers through a shared-memory
-:class:`~repro.parallel.shm.ArrayPack`, and each fold task is a pure
-function of (data, split) — so serial, thread, and process backends
-return byte-identical scores.
+once in the caller (a pure function of ``seed``), the feature matrix and
+labels are the batch's ``shared`` arguments — process workers inherit
+them through ``fork``, so a task pickles only its fold indices — and
+each fold task is a pure function of (data, split), so serial, thread,
+and process backends return byte-identical scores.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.obs.metrics import default_registry
 from repro.parallel.executor import ParallelConfig, run_tasks
-from repro.parallel.shm import ArrayPack, ArrayPackSpec, open_pack
 
 
 def _train_indices_for(sample_count: int, test: np.ndarray) -> np.ndarray:
@@ -132,7 +131,8 @@ def train_test_split(
 
 
 def _fit_and_score_fold(
-    pack_spec: ArrayPackSpec,
+    features: np.ndarray,
+    labels: np.ndarray,
     model_factory: Callable[[], Any],
     train: np.ndarray,
     test: np.ndarray,
@@ -143,18 +143,14 @@ def _fit_and_score_fold(
     process backend: a top-level class or function, not a lambda) and
     must expose ``fit`` plus ``decision_function`` or ``predict_proba``.
     """
-    with open_pack(pack_spec) as arrays:
-        features = arrays["features"]
-        labels = arrays["labels"]
-        model = model_factory()
-        model.fit(features[train], labels[train])
-        scorer = getattr(model, "decision_function", None)
-        if scorer is not None:
-            fold_scores = scorer(features[test])
-        else:
-            fold_scores = model.predict_proba(features[test])[:, 1]
-        # Copy: the result must outlive the worker's shared-memory view.
-        return np.array(fold_scores, dtype=np.float64, copy=True)
+    model = model_factory()
+    model.fit(features[train], labels[train])
+    scorer = getattr(model, "decision_function", None)
+    if scorer is not None:
+        fold_scores = scorer(features[test])
+    else:
+        fold_scores = model.predict_proba(features[test])[:, 1]
+    return np.asarray(fold_scores, dtype=np.float64)
 
 
 def run_fold_tasks(
@@ -177,30 +173,17 @@ def run_fold_tasks(
     features = np.asarray(features)
     labels = np.asarray(labels)
     if parallel is None:
-        spec = ArrayPackSpec(
-            shm_name=None,
-            layout={},
-            inline={"features": features, "labels": labels},
-        )
         return [
-            _fit_and_score_fold(spec, model_factory, train, test)
+            _fit_and_score_fold(features, labels, model_factory, train, test)
             for train, test in splits
         ]
-    backend = parallel.resolved_backend()
-    with ArrayPack(
-        {"features": features, "labels": labels},
-        use_shm=backend == "process",
-    ) as pack:
-        payloads = [
-            (pack.spec, model_factory, train, test) for train, test in splits
-        ]
-        return run_tasks(
-            _fit_and_score_fold,
-            payloads,
-            parallel,
-            backend=backend,
-            label=label,
-        )
+    return run_tasks(
+        _fit_and_score_fold,
+        [(model_factory, train, test) for train, test in splits],
+        parallel,
+        shared=(features, labels),
+        label=label,
+    )
 
 
 def cross_validated_scores(

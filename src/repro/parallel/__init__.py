@@ -5,11 +5,11 @@ The three behavioral views (and the two proximity orders of
 the pipeline's hottest stage — fans out across workers:
 
 * :mod:`~repro.parallel.executor` — :class:`ParallelConfig` policy,
-  deterministic seed spawning, and the generic :func:`run_tasks` loop;
+  deterministic seed spawning, and the generic :func:`run_tasks` loop,
+  whose process workers inherit the read-only task inputs through
+  ``fork``;
 * :mod:`~repro.parallel.partition` — cost-model task splitting
   (views x orders, weighted by resolved sample counts);
-* :mod:`~repro.parallel.shm` — zero-copy shared-memory handoff of the
-  read-only edge arrays and alias tables to process workers;
 * :mod:`~repro.parallel.progress` — queue multiplexing of worker
   ``on_epoch`` reports into the caller's ``repro.obs`` sinks;
 * :mod:`~repro.parallel.train` — the :func:`train_views` orchestrator
@@ -33,17 +33,13 @@ from repro.parallel.partition import (
     plan_view_tasks,
     schedule_order,
 )
-from repro.parallel.shm import ArrayPack, ArrayPackSpec, open_pack
 from repro.parallel.train import train_views
 
 __all__ = [
     "BACKENDS",
-    "ArrayPack",
-    "ArrayPackSpec",
     "EmbeddingTask",
     "ParallelConfig",
     "fork_available",
-    "open_pack",
     "plan_line_tasks",
     "plan_view_tasks",
     "run_tasks",

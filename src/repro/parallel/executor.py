@@ -13,7 +13,9 @@ serially in the caller — and :func:`run_tasks` executes them with:
   the original error chained;
 * **automatic serial fallback** — ``workers=0``, a single resolved
   worker, a task set below ``min_parallel_weight``, or a platform
-  without ``fork`` all degrade to the plain in-process loop.
+  without ``fork`` all degrade to the plain in-process loop;
+* **fork inheritance** — read-only ``shared`` task inputs reach process
+  workers through ``fork`` instead of pickling.
 
 Determinism is anchored here too: :func:`spawn_seeds` derives one
 :class:`numpy.random.SeedSequence` child per task from the root seed, so
@@ -64,14 +66,14 @@ class ParallelConfig:
     """How (and whether) to parallelize embedding training.
 
     Attributes:
-        workers: ``0`` — serial execution (the default and the always-
-            safe choice); ``"auto"`` — one worker per CPU; any positive
+        workers: ``"auto"`` (the default) — one worker per CPU this
+            process may run on; ``0`` — serial execution; any positive
             int — that many workers.
         backend: ``"process"`` (default), ``"thread"``, or ``"serial"``.
             Process workers sidestep the GIL and are right for the
-            numpy-heavy LINE loop; threads avoid pickling/shared-memory
-            setup and suit debugging; ``"serial"`` forces the in-caller
-            loop regardless of ``workers``.
+            numpy-heavy LINE loop; threads avoid forking and suit
+            debugging; ``"serial"`` forces the in-caller loop regardless
+            of ``workers``.
         timeout_seconds: Per-run ceiling for the whole task batch;
             ``None`` waits forever. Exceeding it raises
             :class:`EmbeddingError`.
@@ -81,7 +83,7 @@ class ParallelConfig:
             parallel execution for any size.
     """
 
-    workers: int | str = 0
+    workers: int | str = "auto"
     backend: str = "process"
     timeout_seconds: float | None = None
     min_parallel_weight: int = _DEFAULT_MIN_PARALLEL_WEIGHT
@@ -108,8 +110,11 @@ class ParallelConfig:
             raise EmbeddingError("min_parallel_weight must be non-negative")
 
     def resolved_workers(self) -> int:
-        """The concrete worker count (``"auto"`` -> CPU count)."""
+        """The concrete worker count (``"auto"`` -> CPUs in the affinity
+        mask, so a runner pinned to one CPU stays serial)."""
         if self.workers == "auto":
+            if hasattr(os, "sched_getaffinity"):
+                return max(1, len(os.sched_getaffinity(0)))
             return max(1, os.cpu_count() or 1)
         return int(self.workers)
 
@@ -144,25 +149,18 @@ def spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
     return list(np.random.SeedSequence(seed).spawn(count))
 
 
-def _make_pool(
-    backend: str,
-    workers: int,
-    initializer: Callable[..., None] | None,
-    initargs: tuple,
-) -> Executor:
-    if backend == "thread":
-        return ThreadPoolExecutor(
-            max_workers=workers,
-            thread_name_prefix="repro-parallel",
-            initializer=initializer,
-            initargs=initargs,
-        )
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=initializer,
-        initargs=initargs,
-    )
+# The ``shared`` arguments of the batch a process worker serves, set by
+# the pool initializer from its fork-inherited (never pickled) initargs.
+_INHERITED: tuple = ()
+
+
+def _inherit(shared: tuple) -> None:
+    global _INHERITED
+    _INHERITED = shared
+
+
+def _call_inherited(fn: Callable[..., Any], *payload: Any) -> Any:
+    return fn(*_INHERITED, *payload)
 
 
 def run_tasks(
@@ -170,22 +168,23 @@ def run_tasks(
     payloads: Sequence[tuple],
     config: ParallelConfig,
     *,
+    shared: tuple = (),
     backend: str | None = None,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
     label: str = "tasks",
 ) -> list[Any]:
-    """Run ``fn(*payload)`` for every payload; results in payload order.
+    """Run ``fn(*shared, *payload)`` for every payload, in payload order.
 
     Args:
         fn: Top-level (picklable) task function.
-        payloads: One argument tuple per task.
+        payloads: One (small) argument tuple per task.
         config: Worker/backend/timeout policy.
+        shared: Read-only leading arguments common to every task.
+            Process workers inherit them through ``fork`` as pool
+            initializer arguments, which are never pickled; threads and
+            the serial loop get the caller's objects.
         backend: Override the backend resolution (callers that already
             called :meth:`ParallelConfig.resolved_backend` pass it here
             so the decision is made exactly once).
-        initializer / initargs: Forwarded to the pool — used to hand
-            worker processes their progress queue.
         label: Human-readable batch name for error messages.
 
     Raises:
@@ -194,15 +193,28 @@ def run_tasks(
     """
     resolved = backend if backend is not None else config.resolved_backend()
     if resolved == "serial":
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(*payload) for payload in payloads]
+        return [fn(*shared, *payload) for payload in payloads]
 
     workers = min(config.resolved_workers(), max(1, len(payloads)))
-    pool = _make_pool(resolved, workers, initializer, initargs)
+    pool: Executor
+    if resolved == "thread":
+        pool = ThreadPoolExecutor(
+            max_workers=workers,
+            thread_name_prefix="repro-parallel",
+        )
+    else:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit,
+            initargs=(shared,),
+        )
     try:
         futures: list[Future] = [
-            pool.submit(fn, *payload) for payload in payloads
+            pool.submit(fn, *shared, *payload)
+            if resolved == "thread"
+            else pool.submit(_call_inherited, fn, *payload)
+            for payload in payloads
         ]
         results: list[Any] = []
         for index, future in enumerate(futures):

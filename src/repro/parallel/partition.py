@@ -43,8 +43,9 @@ __all__ = [
 class EmbeddingTask:
     """One independent single-order training unit.
 
-    Picklable and self-contained apart from the (potentially huge) edge
-    arrays, which travel separately through :mod:`repro.parallel.shm`.
+    Picklable and self-contained apart from the (potentially huge)
+    graph, which workers inherit through ``fork`` (see
+    :func:`repro.parallel.run_tasks`).
     """
 
     task_id: int

@@ -9,10 +9,12 @@ behavioral views at once) and :func:`~repro.embedding.line.train_line`
    fallback rules) — the serial path simply runs ``train_line`` per view
    under the usual ``trace()`` spans, so a degraded run is *exactly* the
    sequential pipeline;
-3. for pool backends, builds the alias tables once in the caller, ships
-   them (and the edge arrays) through shared memory (:mod:`.shm`),
-   multiplexes worker progress through a queue (:mod:`.progress`), and
-   reassembles per-view matrices from whichever order results land in.
+3. for pool backends, hands the workers the ``(graph, config)`` views
+   themselves — process workers inherit them through ``fork`` — so each
+   task builds its own kernel edge layout and alias tables where it
+   runs and the caller allocates neither; multiplexes worker progress
+   through a queue (:mod:`.progress`); and reassembles per-view
+   matrices from whichever order results land in.
 
 Determinism contract: a task's generator stream depends only on the
 view config's seed and the task's position in the plan — never on the
@@ -22,20 +24,20 @@ process runs produce byte-identical embeddings for the same seed.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import time
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.embedding.alias import AliasSampler
-from repro.embedding.kernels import prepare_edge_arrays
 from repro.embedding.line import (
     LineConfig,
     LineEmbedding,
     _finalize_vectors,
     _record_training_metrics,
     _train_single_order,
+    _training_inputs,
     train_line,
 )
 from repro.errors import EmbeddingError
@@ -54,7 +56,6 @@ from repro.parallel.progress import (
     QueueProgress,
     record_stage_observation,
 )
-from repro.parallel.shm import ArrayPack, ArrayPackSpec, open_pack
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.progress import ProgressCallback
@@ -64,83 +65,45 @@ __all__ = ["train_views"]
 
 _log = get_logger(__name__)
 
-# Set by the pool initializer in process workers; holds the progress
-# report queue (None when the caller passed no progress callback).
-_WORKER_QUEUE: "ReportQueue | None" = None
-
-
-def _init_worker(report_queue: "ReportQueue") -> None:
-    """Pool initializer: stash the progress queue in the worker."""
-    global _WORKER_QUEUE
-    _WORKER_QUEUE = report_queue
-
 
 def _run_embedding_task(
+    views: dict[str, tuple[SimilarityGraph, LineConfig]],
+    report_queue: "ReportQueue | None",
+    progress: "ProgressCallback | None",
     task: EmbeddingTask,
-    spec: ArrayPackSpec,
-    node_count: int,
-    progress: "ProgressCallback | None" = None,
 ) -> tuple[int, np.ndarray, float]:
     """Worker entry: train one order, return (task_id, vectors, seconds).
 
-    Picklable top-level function. ``progress`` is the in-process shim
-    for thread/serial backends; process workers build a queue shim from
-    the initializer-provided queue instead.
+    The first three arguments are the batch's ``shared`` ones; the task
+    builds its view's edge layout and alias tables itself. Process
+    workers report progress through ``report_queue``; thread and serial
+    runs call ``progress`` (a locked shim) directly.
     """
-    if progress is None and _WORKER_QUEUE is not None:
-        progress = QueueProgress(_WORKER_QUEUE, task.view)
-    with open_pack(spec) as arrays:
-        edge_sampler = AliasSampler.from_tables(
-            arrays["edge_prob"], arrays["edge_alias"]
-        )
-        noise_sampler = AliasSampler.from_tables(
-            arrays["noise_prob"], arrays["noise_alias"]
-        )
-        rng = np.random.default_rng(task.seed)
-        started = time.perf_counter()
-        vectors = _train_single_order(
-            arrays["sources"],
-            arrays["targets"],
-            edge_sampler,
-            noise_sampler,
-            node_count,
-            task.dimension,
-            task.use_context,
-            task.config,
-            rng,
-            task.total_samples,
-            progress,
-            task.epoch_offset,
-            task.epoch_total,
-        )
-        elapsed = time.perf_counter() - started
-    return task.task_id, vectors, elapsed
-
-
-def _view_arrays(
-    graph: SimilarityGraph, config: LineConfig
-) -> dict[str, np.ndarray]:
-    """The read-only arrays one view's tasks share (tables prebuilt).
-
-    The edge arrays and the edge alias table are laid out for
-    ``config.kernel`` (:func:`repro.embedding.kernels.prepare_edge_arrays`
-    — e.g. pre-doubled orientation for ``"segment"``) in the caller, so
-    workers train on exactly the bytes the serial path would use.
-    """
-    sources, targets, sample_weights = prepare_edge_arrays(
-        graph.rows, graph.cols, graph.weights, config.kernel
+    if report_queue is not None:
+        progress = QueueProgress(report_queue, task.view)
+    graph, config = views[task.view]
+    sources, targets, edge_sampler, noise_sampler = _training_inputs(
+        graph, config
     )
-    edge_sampler = AliasSampler(sample_weights)
-    degrees = graph.degree_array()
-    noise_sampler = AliasSampler(np.power(np.maximum(degrees, 1e-12), 0.75))
-    return {
-        "sources": np.ascontiguousarray(sources),
-        "targets": np.ascontiguousarray(targets),
-        "edge_prob": edge_sampler.probabilities,
-        "edge_alias": edge_sampler.aliases,
-        "noise_prob": noise_sampler.probabilities,
-        "noise_alias": noise_sampler.aliases,
-    }
+    rng = np.random.default_rng(task.seed)
+    started = time.perf_counter()
+    vectors = _train_single_order(
+        sources,
+        targets,
+        edge_sampler,
+        noise_sampler,
+        graph.node_count,
+        task.dimension,
+        task.use_context,
+        task.config,
+        rng,
+        task.total_samples,
+        progress,
+        task.epoch_offset,
+        task.epoch_total,
+    )
+    elapsed = time.perf_counter() - started
+    return task.task_id, vectors, elapsed
 
 
 def train_views(
@@ -196,63 +159,33 @@ def _train_views_pooled(
     backend: str,
     progress: "ProgressCallback | None",
 ) -> dict[str, LineEmbedding]:
-    graphs = {key: graph for key, graph, __ in views}
-    packs: dict[str, ArrayPack] = {}
+    views_by_key = {key: (graph, config) for key, graph, config in views}
     report_queue = None
-    initializer = None
-    initargs: tuple = ()
-    thread_shim = None
+    shim = None
+    drain: contextlib.AbstractContextManager[object] = contextlib.nullcontext()
     if progress is not None:
         if backend == "process":
             report_queue = multiprocessing.get_context("fork").Queue()
-            initializer = _init_worker
-            initargs = (report_queue,)
+            drain = ProgressDrain(report_queue, progress)
         else:
-            thread_shim = LockedProgress(progress)
+            shim = LockedProgress(progress)
 
+    started = time.perf_counter()
     try:
-        for key, graph, config in views:
-            if graph.edge_count > 0:
-                packs[key] = ArrayPack(
-                    _view_arrays(graph, config), use_shm=backend == "process"
-                )
-        ordered = schedule_order(tasks)
-        payloads = [
-            (
-                task,
-                packs[task.view].spec,
-                graphs[task.view].node_count,
-                thread_shim,
-            )
-            for task in ordered
-        ]
-        started = time.perf_counter()
-        if report_queue is not None:
-            with ProgressDrain(report_queue, progress):
-                outcomes = run_tasks(
-                    _run_embedding_task,
-                    payloads,
-                    parallel,
-                    backend=backend,
-                    initializer=initializer,
-                    initargs=initargs,
-                    label="embedding",
-                )
-        else:
+        with drain:
             outcomes = run_tasks(
                 _run_embedding_task,
-                payloads,
+                [(task,) for task in schedule_order(tasks)],
                 parallel,
+                shared=(views_by_key, report_queue, shim),
                 backend=backend,
                 label="embedding",
             )
-        wall = time.perf_counter() - started
     finally:
-        for pack in packs.values():
-            pack.close()
         if report_queue is not None:
             report_queue.close()
             report_queue.join_thread()
+    wall = time.perf_counter() - started
 
     by_id = {task_id: (vectors, elapsed) for task_id, vectors, elapsed in outcomes}
     embeddings: dict[str, LineEmbedding] = {}

@@ -533,6 +533,10 @@ def _build_handler(service: ScoringService) -> type[BaseHTTPRequestHandler]:
         # Per-connection socket timeout: a stalled client gets cut off
         # instead of pinning a handler thread.
         timeout = service.config.request_timeout_seconds
+        # TCP_NODELAY: headers and body go out in separate writes, and
+        # with Nagle on a keep-alive connection the body would wait for
+        # the client's delayed ACK (~40 ms per request).
+        disable_nagle_algorithm = True
         # Whether the current request already got a response (keeps the
         # catch-all 500 path from writing a second response).
         _responded = False

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.ml.kmeans as kmeans_module
 from repro.errors import NotFittedError
 from repro.ml.kmeans import KMeans, _kmeans_plus_plus, cluster_means, cluster_sums
+from repro.ml.xmeans import XMeans
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +144,42 @@ class TestClusterSums:
         for start in (0, 30, 60):
             group = labels[start : start + 30]
             assert np.all(group == group[0])
+
+
+class TestCompiledScatterParity:
+    """The compiled scatter must reproduce ``np.add.at`` bit for bit."""
+
+    @staticmethod
+    def _reference(monkeypatch):
+        monkeypatch.setattr(
+            kmeans_module,
+            "segment_scatter_add",
+            lambda out, indices, updates: np.add.at(out, indices, updates),
+        )
+
+    def test_cluster_sums_byte_equal(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        data = rng.normal(scale=1e3, size=(500, 7))
+        labels = rng.integers(0, 9, size=500)
+        sums, counts = cluster_sums(data, labels, 9)
+        self._reference(monkeypatch)
+        ref_sums, ref_counts = cluster_sums(data, labels, 9)
+        assert sums.tobytes() == ref_sums.tobytes()
+        np.testing.assert_array_equal(counts, ref_counts)
+
+    @pytest.mark.parametrize("model_factory", [
+        lambda: KMeans(n_clusters=6, seed=4),
+        lambda: XMeans(k_min=2, k_max=12, seed=4),
+    ], ids=["kmeans", "xmeans"])
+    def test_labels_and_centers_byte_equal(self, monkeypatch, model_factory):
+        rng = np.random.default_rng(5)
+        data = np.vstack(
+            [rng.normal(c, 0.7, size=(60, 4)) for c in range(0, 24, 4)]
+        )
+        compiled = model_factory().fit(data)
+        self._reference(monkeypatch)
+        reference = model_factory().fit(data)
+        assert compiled.labels_.tobytes() == reference.labels_.tobytes()
+        assert compiled.cluster_centers_.tobytes() == (
+            reference.cluster_centers_.tobytes()
+        )

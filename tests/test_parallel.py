@@ -2,9 +2,11 @@
 
 The load-bearing property is the determinism contract: for a fixed
 seed, serial, thread, and process backends must produce *byte-identical*
-embeddings. Everything else (scheduling, shared memory, failure
+embeddings. Everything else (scheduling, the fork handoff, failure
 surfacing) exists in service of that.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -13,11 +15,9 @@ from repro.embedding.line import LineConfig, train_line
 from repro.errors import EmbeddingError
 from repro.graphs.projection import SimilarityGraph
 from repro.parallel import (
-    ArrayPack,
     EmbeddingTask,
     ParallelConfig,
     fork_available,
-    open_pack,
     plan_line_tasks,
     plan_view_tasks,
     run_tasks,
@@ -63,15 +63,36 @@ def _slow(value):
     return value
 
 
+def _pin_cpus(monkeypatch, count):
+    """Make this process's affinity mask hold ``count`` CPUs."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
 class TestParallelConfig:
-    def test_defaults_are_serial(self):
-        assert ParallelConfig().resolved_backend() == "serial"
+    def test_default_is_auto(self, monkeypatch):
+        config = ParallelConfig()
+        assert config.workers == "auto"
+        heavy = config.min_parallel_weight
+        _pin_cpus(monkeypatch, 1)
+        assert config.resolved_backend(total_weight=heavy) == "serial"
+        _pin_cpus(monkeypatch, 2)
+        expected = "process" if fork_available() else "serial"
+        assert config.resolved_backend(total_weight=heavy) == expected
+        assert config.resolved_backend(total_weight=heavy - 1) == "serial"
 
-    def test_auto_resolves_to_cpu_count(self):
-        import os
-
+    def test_auto_resolves_to_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count() or 1
         config = ParallelConfig(workers="auto")
-        assert config.resolved_workers() == max(1, os.cpu_count() or 1)
+        assert config.resolved_workers() == max(1, usable)
+        # The affinity mask, not the machine's CPU count, decides.
+        _pin_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert config.resolved_workers() == 3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -226,32 +247,6 @@ class TestPlanning:
         assert isinstance(ordered[0], EmbeddingTask)
 
 
-class TestArrayPack:
-    def _arrays(self):
-        rng = np.random.default_rng(0)
-        return {
-            "a": rng.uniform(size=100),
-            "b": rng.integers(0, 100, 50).astype(np.int64),
-            "c": np.empty(0, dtype=np.float64),
-        }
-
-    def test_inline_roundtrip(self):
-        arrays = self._arrays()
-        with ArrayPack(arrays, use_shm=False) as pack:
-            with open_pack(pack.spec) as opened:
-                for name, array in arrays.items():
-                    assert np.array_equal(opened[name], array)
-
-    def test_shm_roundtrip(self):
-        arrays = self._arrays()
-        with ArrayPack(arrays, use_shm=True) as pack:
-            assert pack.spec.shm_name is not None
-            with open_pack(pack.spec) as opened:
-                for name, array in arrays.items():
-                    assert np.array_equal(opened[name], array)
-                    assert opened[name].dtype == array.dtype
-
-
 class TestDeterminismContract:
     """Serial, thread, and process training must agree to the byte."""
 
@@ -305,6 +300,91 @@ class TestDeterminismContract:
         assert np.array_equal(
             serial["host"].vectors, serial["ip"].vectors
         )
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork")
+class TestForkHandoff:
+    """Process workers inherit the views; the parent builds no arrays."""
+
+    VIEWS = [
+        ("host", small_graph("host"), FAST),
+        ("ip", small_graph("ip", seed=1), FAST),
+    ]
+
+    @pytest.fixture()
+    def build_counter(self, monkeypatch):
+        import repro.parallel.train as train_module
+
+        calls = []
+        original = train_module._training_inputs
+
+        def counting(graph, config):
+            calls.append(os.getpid())
+            return original(graph, config)
+
+        monkeypatch.setattr(train_module, "_training_inputs", counting)
+        return calls
+
+    def _pooled(self, backend):
+        return train_views(
+            self.VIEWS,
+            ParallelConfig(workers=2, backend=backend, min_parallel_weight=0),
+        )
+
+    def test_parent_builds_no_view_arrays(self, build_counter):
+        serial = train_views(self.VIEWS, ParallelConfig(workers=0))
+        pooled = self._pooled("process")
+        # Forked workers bump their own copy of the counter, never ours.
+        assert build_counter == []
+        for key, __, __ in self.VIEWS:
+            assert pooled[key].vectors.tobytes() == (
+                serial[key].vectors.tobytes()
+            )
+
+    def test_counter_sees_in_process_builds(self, build_counter):
+        # Threads build in this process: one layout per order task.
+        self._pooled("thread")
+        assert len(build_counter) == 2 * len(self.VIEWS)
+
+    def test_progress_reports_reach_the_parent(self):
+        epochs = []
+
+        class Recorder:
+            def on_epoch(self, epoch, total, loss):
+                epochs.append((epoch, total))
+
+        train_views(
+            self.VIEWS,
+            ParallelConfig(workers=2, backend="process", min_parallel_weight=0),
+            progress=Recorder(),
+        )
+        # Each view reports every epoch of its serial sequence once.
+        total = epochs[0][1]
+        assert sorted(e for e, __ in epochs) == sorted(
+            list(range(1, total + 1)) * len(self.VIEWS)
+        )
+
+    def test_no_shared_memory_segment(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        created = []
+        original = shared_memory.SharedMemory.__init__
+
+        def spy(self, *args, **kwargs):
+            created.append((args, kwargs))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "__init__", spy)
+
+        def segments():
+            if not os.path.isdir("/dev/shm"):
+                return set()
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        before = segments()
+        self._pooled("process")
+        assert created == []
+        assert segments() - before == set()
 
 
 class TestTrainViews:

@@ -103,6 +103,27 @@ class TestHealth:
 
 
 class TestScore:
+    def test_back_to_back_keep_alive_requests_are_fast(self, service_setup):
+        # Without TCP_NODELAY each response body waits out the client's
+        # delayed ACK: ~40 ms per request on one keep-alive connection.
+        __, registry, port, __, __ = service_setup
+        domain = registry.load(1).domains[0]
+        body = json.dumps({"domain": domain}).encode()
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            elapsed = []
+            for __ in range(20):
+                started = time.perf_counter()
+                connection.request("POST", "/v1/score", body=body)
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                elapsed.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        elapsed.sort()
+        assert elapsed[len(elapsed) // 2] < 0.010
+
     def test_http_matches_in_process_scorer(self, service_setup):
         __, registry, port, __, __ = service_setup
         scorer = DomainScorer(registry.load(1), cache_size=0)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ml.kernels import KernelParams, KernelRowCache
@@ -15,8 +15,14 @@ from repro.ml.svm import (
 )
 
 # Tight tolerance so both solvers land on the (decision-function-unique)
-# optimum; the parity bound below is then meaningful at 1e-6.
-PARITY = dict(tolerance=1e-8, max_iterations=500_000)
+# optimum; the parity bound below is then meaningful at 1e-6. The
+# dense/cached decision gap scales linearly with the stopping tolerance
+# and with the kernel's scale: the worst case known (seed=712, poly,
+# C=3, |f| ~ 16) differs by 1.4e-6 at tol=1e-8 and by 1.4e-8 at 1e-10.
+# Over 1,500 random draws from the hypothesis space below, no other
+# case passed 4.6e-7 at 1e-8. At 1e-10 every parity test in this file
+# sits at least 70x under its 1e-6 bound.
+PARITY = dict(tolerance=1e-10, max_iterations=500_000)
 
 
 def _dataset(seed: int, n: int = 80, dims: int = 5):
@@ -98,6 +104,7 @@ class TestSolverParity:
         kernel=st.sampled_from(["rbf", "linear", "poly"]),
         c=st.floats(0.05, 5.0),
     )
+    @example(seed=712, kernel="poly", c=3.0)
     def test_parity_hypothesis(self, seed, kernel, c):
         features, labels = _dataset(seed=seed, n=40, dims=3)
         dense, cached = _fit_pair(
