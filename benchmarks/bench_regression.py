@@ -34,10 +34,13 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+
+# The parity oracles (dense SMO, add_at LINE loop) live in
+# tests/reference.py; make the repo root importable when run as a script.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 SCHEMA_VERSION = 1
 
@@ -375,11 +378,13 @@ def _bench_svm_solver(seed: int, repeats: int) -> tuple[
     ``kernel_cache_mb`` budget and measures its tracemalloc peak. The
     FATAL gate asserts the tentpole claim: solver memory is bounded by
     the cache budget (plus O(n) solver state), not by the n x n Gram
-    matrix the dense reference allocates.
+    matrix the dense oracle (``tests/reference.py``) allocates.
     """
     import tracemalloc
 
     from repro.ml.svm import SupportVectorClassifier
+
+    from tests.reference import fit_dense
 
     rng = np.random.default_rng(seed)
     n, dims = 1200, 8
@@ -389,28 +394,26 @@ def _bench_svm_solver(seed: int, repeats: int) -> tuple[
     ).astype(int)
     cache_mb = 4.0
 
-    def _model(solver: str) -> SupportVectorClassifier:
-        return SupportVectorClassifier(
-            solver=solver, kernel_cache_mb=cache_mb, c=1.0, gamma=0.1
-        )
+    def _model() -> SupportVectorClassifier:
+        return SupportVectorClassifier(kernel_cache_mb=cache_mb, c=1.0, gamma=0.1)
 
     metrics: dict[str, float] = {}
     info: dict[str, float] = {}
     metrics["svm_fit_seconds"] = _timed(
-        lambda: _model("cached").fit(features, labels), repeats
+        lambda: _model().fit(features, labels), repeats
     )
 
-    def _traced_peak_mb(solver: str) -> float:
+    def _traced_peak_mb(fit) -> float:
         tracemalloc.start()
         try:
-            _model(solver).fit(features, labels)
+            fit(_model(), features, labels)
             __, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak / (1024.0 * 1024.0)
 
-    metrics["svm_fit_peak_mb"] = _traced_peak_mb("cached")
-    info["svm.dense_fit_peak_mb"] = _traced_peak_mb("dense")
+    metrics["svm_fit_peak_mb"] = _traced_peak_mb(SupportVectorClassifier.fit)
+    info["svm.dense_fit_peak_mb"] = _traced_peak_mb(fit_dense)
     dense_gram_mb = n * n * 8 / (1024.0 * 1024.0)
     info["svm.dense_gram_mb"] = dense_gram_mb
     info["svm.cache_budget_mb"] = cache_mb
@@ -581,6 +584,8 @@ def run_benchmark(args: argparse.Namespace) -> dict:
     from repro.parallel.train import train_views
     from repro.simulation import SimulationConfig, TraceGenerator
 
+    from tests.reference import train_line_add_at
+
     metrics: dict[str, float] = {}
     info: dict[str, float] = {}
 
@@ -696,18 +701,15 @@ def run_benchmark(args: argparse.Namespace) -> dict:
         metrics["embedding.serial_seconds"], 1e-9
     )
 
-    # Per-kernel throughput: the serial run above exercises the default
-    # fused "segment" kernel; one extra serial pass times the "add_at"
-    # reference loop so the kernel speedup stays visible (and gated) in
-    # every bench point.
+    # Per-kernel throughput: the serial run above exercises the fused
+    # "segment" kernel; one extra serial pass times the "add_at"
+    # reference loop (tests/reference.py) so the kernel speedup stays
+    # visible (and gated) in every bench point.
     metrics["line.edges_per_sec.segment"] = metrics["line.edges_per_sec"]
-    add_at_views = [
-        (key, graph, replace(config, kernel="add_at"))
-        for key, graph, config in views
-    ]
 
     def _add_at_run():
-        train_views(add_at_views, serial_config)
+        for __, graph, config in views:
+            train_line_add_at(graph, config)
 
     add_at_seconds = _timed(_add_at_run, args.repeats)
     metrics["line.edges_per_sec.add_at"] = total_samples / max(

@@ -56,7 +56,7 @@ from repro.analysis.stats import compute_traffic_statistics
 from repro.core.clustering import DomainClusterer
 from repro.core.dataflow import detection_graph
 from repro.core.detector import ClassifierConfig
-from repro.ml.svm import DEFAULT_CACHE_MB, SOLVERS
+from repro.ml.svm import DEFAULT_CACHE_MB
 from repro.core.pipeline import (
     STAGE_CLUSTER,
     MaliciousDomainDetector,
@@ -67,7 +67,7 @@ from repro.obs.tracing import trace
 from repro.dns.dhcp import DhcpLog
 from repro.dns.logfmt import DnsTraceReader
 from repro.dns.types import DnsQuery, DnsResponse
-from repro.embedding.line import KERNELS, LineConfig
+from repro.embedding.line import LineConfig
 from repro.ingest import (
     CheckpointedPipeline,
     ChunkPolicy,
@@ -144,7 +144,7 @@ def _reject_model_outdir(directory: Path) -> str | None:
 
 def _require_model_outdir(args) -> tuple[Path | None, bool]:
     """(validated --save-model dir or None, ok). Prints errors itself."""
-    save_model = getattr(args, "save_model", None)
+    save_model = args.save_model
     if save_model is None:
         return None, True
     directory = Path(save_model)
@@ -168,7 +168,7 @@ def _emit_observability(args) -> None:
     registry = default_registry()
     print("\nstage timings:")
     print(render_timing_table(registry))
-    metrics_out = getattr(args, "metrics_out", None)
+    metrics_out = args.metrics_out
     if metrics_out:
         path = write_snapshot(registry, Path(metrics_out))
         print(f"wrote metrics snapshot to {path}", file=sys.stderr)
@@ -206,18 +206,11 @@ _PARALLEL_DEFAULTS = ParallelConfig()
 
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
-        embedding=LineConfig(
-            dimension=args.dimension,
-            seed=args.seed,
-            kernel=args.line_kernel,
-        ),
+        embedding=LineConfig(dimension=args.dimension, seed=args.seed),
         parallel=ParallelConfig(
             workers=args.workers, backend=args.parallel_backend
         ),
-        classifier=ClassifierConfig(
-            solver=getattr(args, "svm_solver", "cached"),
-            kernel_cache_mb=getattr(args, "svm_cache_mb", DEFAULT_CACHE_MB),
-        ),
+        classifier=ClassifierConfig(kernel_cache_mb=args.svm_cache_mb),
     )
 
 
@@ -233,23 +226,21 @@ def _build_detector(args, queries, responses, dhcp) -> MaliciousDomainDetector:
 def _chunked_requested(args) -> bool:
     """Whether any chunked-ingestion flag engages the out-of-core path."""
     return (
-        getattr(args, "chunk_records", None) is not None
-        or getattr(args, "chunk_seconds", None) is not None
-        or getattr(args, "checkpoint_dir", None) is not None
-        or getattr(args, "resume", False)
+        args.chunk_records is not None
+        or args.chunk_seconds is not None
+        or args.checkpoint_dir is not None
+        or args.resume
     )
 
 
 def _reject_ingest_args(args) -> str | None:
     """Why the chunked-ingestion flags are inconsistent, or ``None``."""
-    if getattr(args, "resume", False) and not getattr(
-        args, "checkpoint_dir", None
-    ):
+    if args.resume and not args.checkpoint_dir:
         return "--resume requires --checkpoint-dir"
-    chunk_records = getattr(args, "chunk_records", None)
+    chunk_records = args.chunk_records
     if chunk_records is not None and chunk_records < 1:
         return f"--chunk-records must be >= 1, got {chunk_records}"
-    chunk_seconds = getattr(args, "chunk_seconds", None)
+    chunk_seconds = args.chunk_seconds
     if chunk_seconds is not None and chunk_seconds <= 0:
         return f"--chunk-seconds must be positive, got {chunk_seconds}"
     return None
@@ -632,8 +623,31 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
-    """Chunked-ingestion / checkpointing flags shared by detect and cluster."""
+def _pipeline_parent() -> argparse.ArgumentParser:
+    """Pipeline flags shared by detect and cluster, declared once."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--dimension", type=int, default=16)
+    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--workers", type=_parse_workers,
+                        default=_PARALLEL_DEFAULTS.workers, metavar="N",
+                        help="LINE and CV workers: 'auto' (default) one "
+                        "per usable CPU, 0 serial, or a count")
+    parser.add_argument("--parallel-backend", choices=list(BACKENDS),
+                        default=_PARALLEL_DEFAULTS.backend,
+                        help="worker backend when --workers > 1")
+    parser.add_argument("--svm-cache-mb", type=float,
+                        default=DEFAULT_CACHE_MB, dest="svm_cache_mb",
+                        metavar="MB",
+                        help="kernel row-cache budget for the SMO solver "
+                        "(MiB, default %(default)s)")
+    parser.add_argument("--metrics-out", metavar="PATH", default=None,
+                        help="write a JSON metrics snapshot to PATH")
+    parser.add_argument("--save-model", metavar="DIR", default=None,
+                        dest="save_model",
+                        help="publish the trained model as a new version "
+                        "in registry DIR (servable with 'serve'; requires "
+                        "groundtruth.tsv)")
+    # Chunked ingestion / checkpointing.
     parser.add_argument("--chunk-records", type=int, default=None,
                         metavar="N",
                         help="ingest the trace in bounded chunks of at most "
@@ -652,6 +666,7 @@ def _add_ingest_args(parser: argparse.ArgumentParser) -> None:
                         help="resume from the last complete checkpoint in "
                         "--checkpoint-dir (torn or mismatched checkpoints "
                         "are rejected)")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -687,74 +702,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the hour-of-day profile")
     p_stats.set_defaults(handler=cmd_stats)
 
-    p_detect = sub.add_parser("detect", parents=[common],
+    pipeline = _pipeline_parent()
+    p_detect = sub.add_parser("detect", parents=[common, pipeline],
                               help="score domains in a capture")
     p_detect.add_argument("tracedir")
-    p_detect.add_argument("--dimension", type=int, default=16)
-    p_detect.add_argument("--seed", type=int, default=13)
     p_detect.add_argument("--top", type=int, default=15)
-    p_detect.add_argument("--workers", type=_parse_workers,
-                          default=_PARALLEL_DEFAULTS.workers, metavar="N",
-                          help="LINE and CV workers: 'auto' (default) one "
-                          "per usable CPU, 0 serial, or a count")
-    p_detect.add_argument("--parallel-backend", choices=list(BACKENDS),
-                          default=_PARALLEL_DEFAULTS.backend,
-                          help="worker backend when --workers > 1")
-    p_detect.add_argument("--line-kernel", choices=list(KERNELS),
-                          default="segment",
-                          help="LINE SGD kernel: fused 'segment' "
-                          "(default) or the 'add_at' reference loop")
-    p_detect.add_argument("--svm-solver", choices=list(SOLVERS),
-                          default="cached", dest="svm_solver",
-                          help="SMO solver: row-'cached' with shrinking "
-                          "(default) or the full-matrix 'dense' reference")
-    p_detect.add_argument("--svm-cache-mb", type=float,
-                          default=DEFAULT_CACHE_MB, dest="svm_cache_mb",
-                          metavar="MB",
-                          help="kernel row-cache budget for the cached "
-                          "solver (MiB, default %(default)s)")
-    p_detect.add_argument("--metrics-out", metavar="PATH", default=None,
-                          help="write a JSON metrics snapshot to PATH")
-    p_detect.add_argument("--save-model", metavar="DIR", default=None,
-                          dest="save_model",
-                          help="publish the trained model as a new version "
-                          "in registry DIR (servable with 'serve')")
-    _add_ingest_args(p_detect)
     p_detect.set_defaults(handler=cmd_detect)
 
-    p_cluster = sub.add_parser("cluster", parents=[common],
+    p_cluster = sub.add_parser("cluster", parents=[common, pipeline],
                                help="mine domain clusters")
     p_cluster.add_argument("tracedir")
-    p_cluster.add_argument("--dimension", type=int, default=16)
-    p_cluster.add_argument("--seed", type=int, default=13)
     p_cluster.add_argument("--k-max", type=int, default=50)
-    p_cluster.add_argument("--workers", type=_parse_workers,
-                           default=_PARALLEL_DEFAULTS.workers, metavar="N",
-                           help="LINE and CV workers: 'auto' (default) one "
-                           "per usable CPU, 0 serial, or a count")
-    p_cluster.add_argument("--parallel-backend", choices=list(BACKENDS),
-                           default=_PARALLEL_DEFAULTS.backend,
-                           help="worker backend when --workers > 1")
-    p_cluster.add_argument("--line-kernel", choices=list(KERNELS),
-                           default="segment",
-                           help="LINE SGD kernel: fused 'segment' "
-                           "(default) or the 'add_at' reference loop")
-    p_cluster.add_argument("--svm-solver", choices=list(SOLVERS),
-                           default="cached", dest="svm_solver",
-                           help="SMO solver: row-'cached' with shrinking "
-                           "(default) or the full-matrix 'dense' reference")
-    p_cluster.add_argument("--svm-cache-mb", type=float,
-                           default=DEFAULT_CACHE_MB, dest="svm_cache_mb",
-                           metavar="MB",
-                           help="kernel row-cache budget for the cached "
-                           "solver (MiB, default %(default)s)")
-    p_cluster.add_argument("--metrics-out", metavar="PATH", default=None,
-                           help="write a JSON metrics snapshot to PATH")
-    p_cluster.add_argument("--save-model", metavar="DIR", default=None,
-                           dest="save_model",
-                           help="publish the trained model as a new version "
-                           "in registry DIR (requires groundtruth.tsv)")
-    _add_ingest_args(p_cluster)
     p_cluster.set_defaults(handler=cmd_cluster)
 
     p_describe = sub.add_parser("describe", parents=[common],

@@ -205,7 +205,10 @@ def pipeline_fingerprint(
     payload = {
         "time_window_seconds": config.time_window_seconds,
         "pruning": asdict(config.pruning),
-        "embedding": asdict(config.embedding),
+        # LineConfig once carried a "kernel" selector that was always
+        # "segment" on this path; hashing it keeps existing checkpoints
+        # and bundles bound to the same fingerprint.
+        "embedding": {**asdict(config.embedding), "kernel": "segment"},
         "min_similarity": config.min_similarity,
         "views": [view.value for view in config.views],
         "sources": {str(k): str(v) for k, v in sorted(sources.items())},
@@ -541,7 +544,6 @@ class ClassifyStage(Stage[FeatureSpace, MaliciousDomainClassifier]):
             "classifier_fitted",
             samples=len(dataset.domains),
             support_vectors=classifier.support_vector_count,
-            solver=self.classifier.solver,
         )
         if self.score_all:
             matrix = space.matrix(order, self.views)
@@ -562,7 +564,6 @@ class ClassifyStage(Stage[FeatureSpace, MaliciousDomainClassifier]):
         )
         return {
             "domains": len(domains),
-            "solver": self.classifier.solver,
             "kernel_cache_mb": self.classifier.kernel_cache_mb,
         }
 
@@ -698,7 +699,7 @@ def detection_stages(
             uses.
         source: Ingest stage producing the raw graph triple, or ``None``
             when the caller seeds :data:`RAW_GRAPHS` into the store
-            (streaming refresh, ``adopt_graphs``).
+            (streaming refresh).
         dataset_for: Maps the surviving domain list to a labeled
             dataset; ``None`` leaves the classify stage inactive.
         score_all: Score every surviving domain after fitting (the

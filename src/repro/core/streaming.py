@@ -237,7 +237,6 @@ class StreamingDetector:
             seconds=elapsed,
             embedding_backend=self.config.parallel.backend,
             embedding_workers=self.config.parallel.resolved_workers(),
-            embedding_kernel=self.config.embedding.kernel,
         )
         return self
 

@@ -18,8 +18,7 @@ giant weight and millions of tiny ones) fall back to the scalar loop for
 the remainder, so worst-case cost stays O(n).
 
 The tables themselves (``probabilities`` / ``aliases``) are exposed
-read-only, and :meth:`AliasSampler.from_tables` rebuilds a sampler from
-them without re-running construction.
+read-only; the LINE kernel samples from them directly.
 """
 
 from __future__ import annotations
@@ -130,25 +129,6 @@ class AliasSampler:
 
     def __init__(self, weights: np.ndarray) -> None:
         self._prob, self._alias = build_alias_tables(weights)
-
-    @classmethod
-    def from_tables(
-        cls, probabilities: np.ndarray, aliases: np.ndarray
-    ) -> "AliasSampler":
-        """Wrap prebuilt tables without re-running construction.
-
-        The arrays are used as-is (no copy).
-        """
-        probabilities = np.asarray(probabilities, dtype=np.float64)
-        aliases = np.asarray(aliases, dtype=np.int64)
-        if probabilities.ndim != 1 or probabilities.size == 0:
-            raise ValueError("probabilities must be a non-empty 1-D array")
-        if aliases.shape != probabilities.shape:
-            raise ValueError("probabilities and aliases must match in shape")
-        sampler = cls.__new__(cls)
-        sampler._prob = probabilities
-        sampler._alias = aliases
-        return sampler
 
     @property
     def probabilities(self) -> np.ndarray:

@@ -11,7 +11,7 @@ behavioral views at once) and :func:`~repro.embedding.line.train_line`
    sequential pipeline;
 3. for pool backends, hands the workers the ``(graph, config)`` views
    themselves — process workers inherit them through ``fork`` — so each
-   task builds its own kernel edge layout and alias tables where it
+   task builds its own edge layout and alias tables where it
    runs and the caller allocates neither; multiplexes worker progress
    through a queue (:mod:`.progress`); and reassembles per-view
    matrices from whichever order results land in.
@@ -31,12 +31,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.embedding.kernels import train_order_segment
 from repro.embedding.line import (
     LineConfig,
     LineEmbedding,
     _finalize_vectors,
     _record_training_metrics,
-    _train_single_order,
     _training_inputs,
     train_line,
 )
@@ -87,7 +87,7 @@ def _run_embedding_task(
     )
     rng = np.random.default_rng(task.seed)
     started = time.perf_counter()
-    vectors = _train_single_order(
+    vectors = train_order_segment(
         sources,
         targets,
         edge_sampler,
@@ -207,7 +207,7 @@ def _train_views_pooled(
             vectors[:, task.column : task.column + task.dimension] = part
             view_seconds += elapsed
             view_samples += task.total_samples
-        _record_training_metrics(view_samples, view_seconds, config.kernel)
+        _record_training_metrics(view_samples, view_seconds)
         record_stage_observation(f"embedding.{key}", view_seconds)
         _log.debug(
             "view_embedded",

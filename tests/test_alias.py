@@ -117,26 +117,6 @@ class TestBuildAliasTables:
             _implied_mass(*vec), _implied_mass(*loop), rtol=0.0, atol=1e-12
         )
 
-    def test_from_tables_roundtrip(self, rng):
-        weights = np.array([0.5, 1.5, 3.0, 0.25])
-        prob, alias = build_alias_tables(weights)
-        sampler = AliasSampler.from_tables(prob, alias)
-        assert sampler.size == weights.size
-        assert sampler.probabilities is prob
-        assert sampler.aliases is alias
-        direct = AliasSampler(weights)
-        seeded = np.random.default_rng(11)
-        reseeded = np.random.default_rng(11)
-        assert np.array_equal(
-            sampler.sample(10_000, seeded), direct.sample(10_000, reseeded)
-        )
-
-    def test_from_tables_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            AliasSampler.from_tables(np.ones(3), np.zeros(4, dtype=np.int64))
-        with pytest.raises(ValueError):
-            AliasSampler.from_tables(np.ones((2, 2)), np.zeros(4, np.int64))
-
     def test_chi_squared_large_sample(self, rng):
         # 1e6 draws against the exact expected counts: a biased table
         # construction fails this decisively, honest sampling noise

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -29,6 +31,48 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_detect_and_cluster_share_pipeline_options(self):
+        detect, cluster = _options("detect"), _options("cluster")
+        assert PIPELINE_OPTIONS <= detect.keys()
+        assert detect.keys() - {"--top"} == cluster.keys() - {"--k-max"}
+        for option in PIPELINE_OPTIONS:
+            assert (detect[option].dest, detect[option].default) == (
+                cluster[option].dest,
+                cluster[option].default,
+            )
+
+    @pytest.mark.parametrize("command", ["detect", "cluster"])
+    @pytest.mark.parametrize(
+        "flag", [["--line-kernel", "add_at"], ["--svm-solver", "dense"]]
+    )
+    def test_reference_selectors_removed(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "t", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: Flags detect and cluster both take (the shared parent parser).
+PIPELINE_OPTIONS = {
+    "--dimension", "--seed", "--workers", "--parallel-backend",
+    "--svm-cache-mb", "--metrics-out", "--save-model", "--chunk-records",
+    "--chunk-seconds", "--checkpoint-dir", "--resume",
+}
+
+
+def _options(command):
+    """Option string -> argparse action for one subcommand."""
+    parser = build_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        option: action
+        for action in subparsers.choices[command]._actions
+        for option in action.option_strings
+    }
 
 
 class TestSimulate:

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.pipeline import PipelineConfig
+from repro.embedding.line import LineConfig
 from repro.errors import ArtifactIntegrityError, IngestError
-from repro.ingest import PipelineCheckpointer
+from repro.ingest import PipelineCheckpointer, pipeline_fingerprint
 from repro.ingest.checkpoint import (
     CHECKPOINT_STAGES,
     MANIFEST_FILENAME,
@@ -192,3 +194,27 @@ class TestResumeBookkeeping:
         assert ckpt.has(STAGE_INGEST)
         assert not ckpt.has(STAGE_PRUNE)
         assert not ckpt.has(STAGE_PROJECT)
+
+
+class TestFingerprintCompatibility:
+    """Fingerprints are pinned: a change strands every existing checkpoint.
+
+    The values were computed before the LINE kernel and SVM solver
+    selectors were removed; checkpoints and bundles written then must
+    still resume and verify.
+    """
+
+    SOURCES = {"trace": "dns.log", "size": 123}
+
+    def test_default_config(self):
+        assert pipeline_fingerprint(PipelineConfig(), self.SOURCES) == (
+            "f267e1526a6af6f6680f821a5db0b9d1194dd14ce5dd662f5866939cbc44d525"
+        )
+
+    def test_custom_embedding(self):
+        config = PipelineConfig(
+            embedding=LineConfig(dimension=8, total_samples=30000, seed=13)
+        )
+        assert pipeline_fingerprint(config, self.SOURCES) == (
+            "b27c13c4a00708bb808b0f612f68a822ac8ef0b46cbd6c2c8618d9c2138fe6af"
+        )

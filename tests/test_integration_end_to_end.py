@@ -20,6 +20,9 @@ from repro import (
     expand_from_seeds,
 )
 from repro.core.clustering import DomainClusterer
+from repro.core.dataflow import DOMAIN_ORDER, FEATURE_SPACE
+from repro.core.features import FeatureSpace, FeatureView
+from repro.core.stages import ArtifactStore
 from repro.dns.dhcp import DhcpLog
 from repro.dns.logfmt import DnsTraceReader
 from repro.dns.types import DnsQuery, DnsResponse
@@ -27,6 +30,8 @@ from repro.embedding.line import LineConfig
 from repro.ml import roc_auc_score
 from repro.netflow import NetflowSimulator, mine_cluster_patterns
 from repro.simulation.groundtruth import GroundTruth
+
+from tests.reference import train_line_add_at
 
 # Full pipeline over a fresh trace: by far the slowest file in the
 # suite. The CI matrix deselects it (-m "not slow"); the bench job and
@@ -73,26 +78,31 @@ class TestEndToEnd:
         scores = detector.decision_scores(dataset.domains)
         assert roc_auc_score(dataset.labels, scores) > 0.85  # training fit
 
-    def test_segment_kernel_matches_add_at_quality(self, workspace, full_run):
+    def test_segment_kernel_matches_add_at_quality(self, full_run):
         """Downstream SVM AUC is kernel-independent (within SGD noise).
 
         The fused ``segment`` kernel draws a different random stream
-        than the ``add_at`` reference, so the embeddings differ vector
-        by vector — but the detection quality they support must not.
+        than the ``add_at`` reference (``tests/reference.py``), so the
+        embeddings differ vector by vector — but the detection quality
+        they support must not. The reference embeds the same similarity
+        graphs with the same per-view configs.
         """
-        queries, responses, dhcp, truth = workspace
-        detector, dataset, __, __, __ = full_run  # default: segment
-        reference = MaliciousDomainDetector(
-            PipelineConfig(
-                embedding=LineConfig(
-                    dimension=16,
-                    total_samples=150_000,
-                    seed=9,
-                    kernel="add_at",
-                )
-            )
+        detector, dataset, __, __, __ = full_run
+        trained = {
+            view: train_line_add_at(graph, detector._line_config_for(view))
+            for view, graph in detector.similarity_graphs.items()
+        }
+        store = ArtifactStore()
+        store.put(DOMAIN_ORDER, detector.domains)
+        store.put(
+            FEATURE_SPACE,
+            FeatureSpace(
+                query=trained[FeatureView.QUERY],
+                ip=trained[FeatureView.IP],
+                temporal=trained[FeatureView.TEMPORAL],
+            ),
         )
-        reference.process(queries, responses, dhcp)
+        reference = MaliciousDomainDetector.from_store(detector.config, store)
         reference.fit(dataset)
         segment_auc = roc_auc_score(
             dataset.labels, detector.decision_scores(dataset.domains)

@@ -1,5 +1,7 @@
 """Unit tests for artifact persistence (npz round-trips)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ def embedding(rng):
     )
 
 
+def _rewrite_json(path, key, edit):
+    """Re-save the .npz at ``path`` with its ``key`` JSON passed through ``edit``."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    fields = json.loads(str(arrays[key]))
+    edit(fields)
+    arrays[key] = np.array(json.dumps(fields))
+    np.savez_compressed(path, **arrays)
+
+
 @pytest.fixture()
 def graph():
     return SimilarityGraph(
@@ -60,6 +72,17 @@ class TestEmbeddingRoundTrip:
         loaded = load_embedding(path)
         assert np.allclose(loaded.vector("b.net"), embedding.vector("b.net"))
         assert np.all(loaded.vector("missing.example") == 0)
+
+    @pytest.mark.parametrize("kernel", ["segment", "add_at"])
+    def test_legacy_kernel_key_ignored(self, embedding, tmp_path, kernel):
+        # Archives from before the add_at loop became a test-only oracle
+        # name the LINE kernel in their config.
+        path = tmp_path / "embedding.npz"
+        save_embedding(embedding, path)
+        _rewrite_json(path, "config_json", lambda c: c.update(kernel=kernel))
+        loaded = load_embedding(path)
+        assert loaded.config == embedding.config
+        assert np.array_equal(loaded.vectors, embedding.vectors)
 
 
 class TestFeatureSpaceRoundTrip:
@@ -116,6 +139,29 @@ class TestClassifierRoundTrip:
             classifier.decision_function(probe),
         )
         assert np.array_equal(loaded.predict(probe), classifier.predict(probe))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda p: p.update(solver="dense"), id="dense"),
+            pytest.param(lambda p: p.update(solver="cached"), id="cached"),
+            pytest.param(lambda p: p.pop("solver", None), id="missing"),
+        ],
+    )
+    def test_legacy_solver_key_ignored(self, fitted, tmp_path, rng, edit):
+        # Archives from before the dense solver became a test-only oracle
+        # name a solver; it only chose how the model was fitted.
+        classifier, __ = fitted
+        path = tmp_path / "classifier.npz"
+        save_classifier(classifier, path)
+        _rewrite_json(path, "params_json", edit)
+        loaded = load_classifier(path)
+        probe = rng.normal(size=(12, 5))
+        assert np.array_equal(
+            loaded.decision_function(probe),
+            classifier.decision_function(probe),
+        )
+        assert loaded.threshold_ == classifier.threshold_
 
     def test_calibrated_threshold_preserved(self, fitted, tmp_path):
         classifier, __ = fitted

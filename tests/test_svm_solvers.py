@@ -1,4 +1,4 @@
-"""Equivalence and behavior of the cached vs dense SMO solvers."""
+"""The cached SMO solver: parity with the dense oracle, and behavior."""
 
 import warnings
 
@@ -14,14 +14,16 @@ from repro.ml.svm import (
     _solve_smo_cached,
 )
 
-# Tight tolerance so both solvers land on the (decision-function-unique)
-# optimum; the parity bound below is then meaningful at 1e-6. The
-# dense/cached decision gap scales linearly with the stopping tolerance
-# and with the kernel's scale: the worst case known (seed=712, poly,
-# C=3, |f| ~ 16) differs by 1.4e-6 at tol=1e-8 and by 1.4e-8 at 1e-10.
-# Over 1,500 random draws from the hypothesis space below, no other
-# case passed 4.6e-7 at 1e-8. At 1e-10 every parity test in this file
-# sits at least 70x under its 1e-6 bound.
+from tests.reference import fit_dense
+
+# Tight tolerance so the solver and the dense oracle (tests/reference.py)
+# land on the (decision-function-unique) optimum; the parity bound below
+# is then meaningful at 1e-6. The dense/cached decision gap scales
+# linearly with the stopping tolerance and with the kernel's scale: the
+# worst case known (seed=712, poly, C=3, |f| ~ 16) differs by 1.4e-6 at
+# tol=1e-8 and by 1.4e-8 at 1e-10. Over 1,500 random draws from the
+# hypothesis space below, no other case passed 4.6e-7 at 1e-8. At 1e-10
+# every parity test in this file sits at least 70x under its 1e-6 bound.
 PARITY = dict(tolerance=1e-10, max_iterations=500_000)
 
 
@@ -38,12 +40,8 @@ def _dataset(seed: int, n: int = 80, dims: int = 5):
 
 def _fit_pair(features, labels, **kwargs):
     params = {**PARITY, **kwargs}
-    dense = SupportVectorClassifier(solver="dense", **params).fit(
-        features, labels
-    )
-    cached = SupportVectorClassifier(solver="cached", **params).fit(
-        features, labels
-    )
+    dense = fit_dense(SupportVectorClassifier(**params), features, labels)
+    cached = SupportVectorClassifier(**params).fit(features, labels)
     return dense, cached
 
 
@@ -85,12 +83,10 @@ class TestSolverParity:
         # Budget admits only the 2-row minimum: every iteration recomputes.
         features, labels = _dataset(seed=7, n=70)
         params = dict(c=1.0, gamma=0.2, **PARITY)
-        dense = SupportVectorClassifier(solver="dense", **params).fit(
+        dense = fit_dense(SupportVectorClassifier(**params), features, labels)
+        cached = SupportVectorClassifier(kernel_cache_mb=1e-6, **params).fit(
             features, labels
         )
-        cached = SupportVectorClassifier(
-            solver="cached", kernel_cache_mb=1e-6, **params
-        ).fit(features, labels)
         np.testing.assert_allclose(
             dense.decision_function(features),
             cached.decision_function(features),
@@ -120,13 +116,17 @@ class TestSolverParity:
 
 
 class TestDegenerateInputs:
-    @pytest.mark.parametrize("solver", ["dense", "cached"])
-    def test_single_class_rejected(self, solver):
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            pytest.param(fit_dense, id="dense"),
+            pytest.param(SupportVectorClassifier.fit, id="cached"),
+        ],
+    )
+    def test_single_class_rejected(self, fit):
         features = np.random.default_rng(0).normal(size=(10, 3))
         with pytest.raises(ValueError, match="2 classes"):
-            SupportVectorClassifier(solver=solver).fit(
-                features, np.zeros(10, dtype=int)
-            )
+            fit(SupportVectorClassifier(), features, np.zeros(10, dtype=int))
 
     def test_all_bounded_alphas_parity(self):
         # A tiny C drives every alpha to its box bound — the bias must
@@ -161,7 +161,7 @@ class TestDegenerateInputs:
         features = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         labels = np.array([0, 1, 0, 1])
         model = SupportVectorClassifier(
-            solver="cached", c=1.0, tolerance=1e-3, max_iterations=10_000
+            c=1.0, tolerance=1e-3, max_iterations=10_000
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
@@ -173,33 +173,34 @@ class TestConvergenceWarning:
     def test_tiny_budget_warns_and_flags(self):
         features, labels = _dataset(seed=17, n=60)
         with pytest.warns(ConvergenceWarning, match="max_iterations"):
-            model = SupportVectorClassifier(
-                solver="cached", c=1.0, max_iterations=3
-            ).fit(features, labels)
+            model = SupportVectorClassifier(c=1.0, max_iterations=3).fit(
+                features, labels
+            )
         assert model.converged_ is False
 
     def test_dense_solver_warns_too(self):
         features, labels = _dataset(seed=17, n=60)
         with pytest.warns(ConvergenceWarning):
-            model = SupportVectorClassifier(
-                solver="dense", c=1.0, max_iterations=3
-            ).fit(features, labels)
+            model = fit_dense(
+                SupportVectorClassifier(c=1.0, max_iterations=3),
+                features,
+                labels,
+            )
         assert model.converged_ is False
 
     def test_normal_fit_does_not_warn(self):
         features, labels = _dataset(seed=19, n=50)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            model = SupportVectorClassifier(solver="cached", c=1.0).fit(
-                features, labels
-            )
+            model = SupportVectorClassifier(c=1.0).fit(features, labels)
         assert model.converged_ is True
 
 
 class TestSolverConfig:
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError, match="solver"):
-            SupportVectorClassifier(solver="turbo")
+    def test_solver_keyword_removed(self):
+        # One solver ships; the dense one is a test-only oracle.
+        with pytest.raises(TypeError, match="solver"):
+            SupportVectorClassifier(solver="dense")
 
     def test_nonpositive_cache_rejected(self):
         with pytest.raises(ValueError, match="kernel_cache_mb"):
@@ -207,10 +208,10 @@ class TestSolverConfig:
 
     def test_fit_telemetry_attributes(self):
         features, labels = _dataset(seed=23, n=50)
-        cached = SupportVectorClassifier(solver="cached").fit(features, labels)
+        cached = SupportVectorClassifier().fit(features, labels)
         assert cached.fit_seconds_ is not None and cached.fit_seconds_ > 0
         assert 0.0 <= cached.cache_hit_ratio_ <= 1.0
-        dense = SupportVectorClassifier(solver="dense").fit(features, labels)
+        dense = fit_dense(SupportVectorClassifier(), features, labels)
         assert dense.cache_hit_ratio_ is None
 
 
