@@ -68,6 +68,7 @@ from repro.dns.dhcp import DhcpLog
 from repro.dns.logfmt import DnsTraceReader
 from repro.dns.types import DnsQuery, DnsResponse
 from repro.embedding.line import LineConfig
+from repro.errors import ArtifactIntegrityError
 from repro.ingest import (
     CheckpointedPipeline,
     ChunkPolicy,
@@ -764,7 +765,13 @@ def main(argv: list[str] | None = None) -> int:
     # --metrics-out snapshot cover exactly this command.
     default_registry().reset()
     _log.debug("command_started", command=args.command)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ArtifactIntegrityError as error:
+        # A torn or tampered bundle or checkpoint is bad input, not a
+        # crash: one line on stderr, like a missing trace directory.
+        print(f"repro-dns {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

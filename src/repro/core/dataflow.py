@@ -218,6 +218,18 @@ def pipeline_fingerprint(
     ).hexdigest()
 
 
+def _refuse_other_settings(
+    directory: Path, saved: Mapping[str, object], wanted: Mapping[str, object]
+) -> None:
+    """Refuse a checkpoint whose stage settings, which
+    :func:`pipeline_fingerprint` leaves out, differ from this run's."""
+    if saved != wanted:
+        raise ArtifactIntegrityError(
+            f"checkpoint under {directory} was written with {saved}, not "
+            f"{wanted}; refusing to resume from it"
+        )
+
+
 # -- shared graph persistence helpers -------------------------------------
 
 
@@ -573,7 +585,14 @@ class ClassifyStage(Stage[FeatureSpace, MaliciousDomainClassifier]):
         manifest: CheckpointManifest,
         store: ArtifactStore,
     ) -> None:
-        store.put(CLASSIFIER, load_classifier(directory / "classifier.npz"))
+        classifier = load_classifier(directory / "classifier.npz")
+        svm, config = classifier._svm, self.classifier
+        _refuse_other_settings(
+            directory,
+            {"c": svm.c, "gamma": svm.gamma, "threshold": classifier.threshold},
+            {"c": config.c, "gamma": config.gamma, "threshold": config.threshold},
+        )
+        store.put(CLASSIFIER, classifier)
         with np.load(directory / "scores.npz") as archive:
             store.put(
                 SCORED_DOMAINS, [str(d) for d in archive["domains"]]
@@ -650,7 +669,10 @@ class ClusterStage(Stage[FeatureSpace, "list[DomainCluster]"]):
                 [c.cluster_id for c in clusters], dtype=np.int64
             ),
         )
-        return {"clusters": len(clusters)}
+        return {"clusters": len(clusters), **self._settings()}
+
+    def _settings(self) -> dict[str, int]:
+        return {"k_min": self.k_min, "k_max": self.k_max, "seed": self.seed}
 
     def load_artifacts(
         self,
@@ -658,6 +680,10 @@ class ClusterStage(Stage[FeatureSpace, "list[DomainCluster]"]):
         manifest: CheckpointManifest,
         store: ArtifactStore,
     ) -> None:
+        wanted = self._settings()
+        # Checkpoints written before the settings were recorded resume.
+        saved = {k: manifest.meta.get(k, v) for k, v in wanted.items()}
+        _refuse_other_settings(directory, saved, wanted)
         order = self._order(store)
         with np.load(directory / "clusters.npz") as archive:
             labels = np.asarray(archive["labels"], dtype=np.int64)

@@ -124,12 +124,14 @@ class MaliciousDomainClassifier:
 class ClassifierConfig:
     """Classify-stage knobs threaded through the pipeline config.
 
-    None of these affect *what* the paper's model computes for a
-    converged fit — ``kernel_cache_mb`` trades memory against speed —
-    so they stay out of :func:`pipeline_fingerprint` and
-    existing checkpoints remain valid. Picklable (frozen dataclass of
-    primitives), so :meth:`build` can serve as a process-pool model
-    factory for parallel cross-validation.
+    ``c``, ``gamma`` and ``threshold`` change the fitted model;
+    ``kernel_cache_mb`` only trades memory against speed. All stay out
+    of :func:`pipeline_fingerprint`, so existing checkpoints keep their
+    fingerprint; instead the classify stage refuses to resume from a
+    checkpoint fitted with a different ``c``, ``gamma`` or
+    ``threshold``. Picklable (frozen dataclass of primitives), so
+    :meth:`build` can serve as a process-pool model factory for
+    parallel cross-validation.
     """
 
     c: float = PAPER_PENALTY

@@ -12,10 +12,13 @@ share and stable across versions.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from repro.core.detector import MaliciousDomainClassifier
 from repro.core.features import FeatureSpace
@@ -28,6 +31,16 @@ from repro.ml.preprocessing import StandardScaler
 from repro.ml.svm import DEFAULT_CACHE_MB, SupportVectorClassifier
 
 _FORMAT_VERSION = 1
+
+
+@contextmanager
+def _open_archive(path: str | Path, what: str) -> Iterator[NpzFile]:
+    """An ``.npz`` archive whose ``format_version`` this module reads."""
+    with np.load(path) as archive:
+        version = int(archive["format_version"])
+        if version != _FORMAT_VERSION:
+            raise DatasetError(f"unsupported {what} format version {version}")
+        yield archive
 
 
 def save_embedding(embedding: LineEmbedding, path: str | Path) -> None:
@@ -46,12 +59,7 @@ def save_embedding(embedding: LineEmbedding, path: str | Path) -> None:
 
 def load_embedding(path: str | Path) -> LineEmbedding:
     """Read an embedding written by :func:`save_embedding`."""
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(
-                f"unsupported embedding format version {version}"
-            )
+    with _open_archive(path, "embedding") as archive:
         fields = json.loads(str(archive["config_json"]))
         # Older archives name the LINE inner loop ("kernel"); it chose
         # how vectors were trained, and the vectors are stored as-is.
@@ -110,12 +118,7 @@ def save_bipartite_graph(graph: BipartiteGraph, path: str | Path) -> None:
 
 def load_bipartite_graph(path: str | Path) -> BipartiteGraph:
     """Read a graph written by :func:`save_bipartite_graph`."""
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(
-                f"unsupported bipartite graph format version {version}"
-            )
+    with _open_archive(path, "bipartite graph") as archive:
         left = VertexTable.from_arrays(
             archive["left_values"], archive["left_codes"]
         )
@@ -183,12 +186,7 @@ def load_classifier(path: str | Path) -> MaliciousDomainClassifier:
     the saved one's: the kernel expansion is recomputed from bit-equal
     float64 support vectors, coefficients, and bias.
     """
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(
-                f"unsupported classifier format version {version}"
-            )
+    with _open_archive(path, "classifier") as archive:
         params = json.loads(str(archive["params_json"]))
         threshold = params["threshold"]
         # Archives written before the cached solver existed carry no
@@ -240,10 +238,7 @@ def save_scaler(scaler: StandardScaler, path: str | Path) -> None:
 
 def load_scaler(path: str | Path) -> StandardScaler:
     """Read a scaler written by :func:`save_scaler`."""
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(f"unsupported scaler format version {version}")
+    with _open_archive(path, "scaler") as archive:
         scaler = StandardScaler()
         scaler.mean_ = np.asarray(archive["mean"], dtype=np.float64)
         scaler.scale_ = np.asarray(archive["scale"], dtype=np.float64)
@@ -265,10 +260,7 @@ def save_similarity_graph(graph: SimilarityGraph, path: str | Path) -> None:
 
 def load_similarity_graph(path: str | Path) -> SimilarityGraph:
     """Read a graph written by :func:`save_similarity_graph`."""
-    with np.load(path) as archive:
-        version = int(archive["format_version"])
-        if version != _FORMAT_VERSION:
-            raise DatasetError(f"unsupported graph format version {version}")
+    with _open_archive(path, "graph") as archive:
         return SimilarityGraph(
             kind=str(archive["kind"]),
             domains=[str(d) for d in archive["domains"]],

@@ -10,27 +10,27 @@ subdirectory per completed stage::
     <dir>/04-classify/  manifest.json + classifier + verdicts
     <dir>/05-cluster/   manifest.json + cluster assignments
 
-Integrity follows the ``repro.serve`` bundle pattern: every artifact is
-a typed ``.npz`` written and read with ``allow_pickle=False``; the
-manifest records each file's SHA-256 and is written **last** inside a
-staging directory that is atomically renamed into place — an
-interrupted save can never masquerade as a complete checkpoint. On
-load, schema version, configuration fingerprint, and every checksum are
-re-verified; any mismatch raises
-:class:`~repro.errors.ArtifactIntegrityError` instead of resuming from
-a torn or tampered state.
+Every artifact is a typed ``.npz`` written and read with
+``allow_pickle=False``. Writing and verifying follow the shared
+protocol of :mod:`repro.artifacts`: the manifest records each file's
+SHA-256 and is written **last** inside a staging directory that is
+renamed into place, all of it fsynced — an interrupted save can never
+masquerade as a complete checkpoint. On load, schema version,
+configuration fingerprint, and every checksum are re-verified; any
+mismatch raises :class:`~repro.errors.ArtifactIntegrityError` instead of
+resuming from a torn or tampered state.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
+
+from repro import artifacts
+from repro.artifacts import MANIFEST_FILENAME
 
 # Canonical stage names live with the stage objects themselves
 # (repro.core.dataflow); checkpoint directories are indexed by the same
@@ -64,16 +64,6 @@ __all__ = [
 _log = get_logger(__name__)
 
 CHECKPOINT_SCHEMA_VERSION = 1
-MANIFEST_FILENAME = "manifest.json"
-
-
-def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, streamed in 1 MiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @dataclass(slots=True)
@@ -104,24 +94,6 @@ class StageManifest:
     complete: bool = True
     files: dict[str, str] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "StageManifest":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ArtifactIntegrityError(
-                f"unreadable checkpoint manifest: {exc}"
-            ) from exc
-        if not isinstance(raw, dict) or "stage" not in raw:
-            raise ArtifactIntegrityError(
-                "checkpoint manifest must be a JSON object with a stage"
-            )
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
-        return cls(**known)
 
 
 class PipelineCheckpointer:
@@ -180,33 +152,21 @@ class PipelineCheckpointer:
         if stage not in CHECKPOINT_STAGES:
             raise IngestError(f"unknown checkpoint stage {stage!r}")
         final = self.stage_dir(stage)
-        staging = self.root / f".{stage}.staging"
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-        try:
+        with artifacts.staging(self.root / f".{stage}.staging") as staging:
             populate(staging)
-            manifest = StageManifest(
-                stage=stage,
-                fingerprint=self.fingerprint,
-                created_at=time.time(),
-                complete=complete,
-                files={
-                    entry.name: _sha256(entry)
-                    for entry in sorted(staging.iterdir())
-                    if entry.is_file()
-                },
-                meta=dict(meta or {}),
+            # ``populate`` may fill ``meta`` as it writes, so the
+            # manifest is built only afterwards.
+            manifest = artifacts.seal(
+                staging,
+                StageManifest(
+                    stage=stage,
+                    fingerprint=self.fingerprint,
+                    created_at=time.time(),
+                    complete=complete,
+                    meta=dict(meta or {}),
+                ),
             )
-            (staging / MANIFEST_FILENAME).write_text(
-                manifest.to_json(), encoding="utf-8"
-            )
-            if final.exists():
-                shutil.rmtree(final)
-            os.replace(staging, final)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
+            artifacts.install(staging, final)
         total = self.total_bytes()
         default_registry().gauge("checkpoint.bytes").set(total)
         _log.info(
@@ -229,23 +189,13 @@ class PipelineCheckpointer:
                 mismatch. A checkpoint that fails here is never loaded.
         """
         directory = self.stage_dir(stage)
-        manifest_path = directory / MANIFEST_FILENAME
-        if not manifest_path.is_file():
-            raise ArtifactIntegrityError(
-                f"no checkpoint manifest for stage {stage!r} under {self.root}"
-            )
-        manifest = StageManifest.from_json(
-            manifest_path.read_text(encoding="utf-8")
+        manifest = artifacts.verify(
+            directory, StageManifest, CHECKPOINT_SCHEMA_VERSION, "checkpoint"
         )
         if manifest.stage != stage:
             raise ArtifactIntegrityError(
                 f"checkpoint under {directory} records stage "
                 f"{manifest.stage!r}, expected {stage!r}"
-            )
-        if manifest.schema_version != CHECKPOINT_SCHEMA_VERSION:
-            raise ArtifactIntegrityError(
-                "unsupported checkpoint schema version "
-                f"{manifest.schema_version}"
             )
         if self.fingerprint and manifest.fingerprint != self.fingerprint:
             raise ArtifactIntegrityError(
@@ -253,20 +203,6 @@ class PipelineCheckpointer:
                 "different pipeline configuration or trace source; "
                 "refusing to resume from it"
             )
-        for name, expected in manifest.files.items():
-            if name == MANIFEST_FILENAME:
-                continue
-            artifact = directory / name
-            if not artifact.is_file():
-                raise ArtifactIntegrityError(
-                    f"checkpoint artifact missing: {artifact}"
-                )
-            actual = _sha256(artifact)
-            if actual != expected:
-                raise ArtifactIntegrityError(
-                    f"checksum mismatch for {artifact}: manifest "
-                    f"{expected[:12]}..., file {actual[:12]}..."
-                )
         return directory, manifest
 
     def peek(self, stage: str) -> StageManifest | None:
@@ -277,11 +213,10 @@ class PipelineCheckpointer:
         checkpoint — use :meth:`verify` for that. Returns ``None`` when
         the stage has no checkpoint.
         """
-        manifest_path = self.stage_dir(stage) / MANIFEST_FILENAME
-        if not manifest_path.is_file():
+        if not self.has(stage):
             return None
-        return StageManifest.from_json(
-            manifest_path.read_text(encoding="utf-8")
+        return artifacts.read_manifest(
+            self.stage_dir(stage), StageManifest, "checkpoint"
         )
 
     def latest(self) -> tuple[str, StageManifest] | None:

@@ -9,24 +9,25 @@ fingerprint, metric summary).
 
 Bundles persist as a directory of typed ``.npz`` files plus a
 ``manifest.json`` sidecar, written and read with ``allow_pickle=False``
-throughout so artifacts are safe to load from shared storage. Every
-array file's SHA-256 is recorded in the manifest and re-verified on
-load; a mismatch raises
-:class:`~repro.errors.ArtifactIntegrityError` instead of silently
-serving a corrupt model.
+throughout so artifacts are safe to load from shared storage. Writing
+and verifying go through :mod:`repro.artifacts`: every file's SHA-256
+is recorded in the manifest and re-verified on load, and any integrity
+failure raises :class:`~repro.errors.ArtifactIntegrityError` instead of
+silently serving a corrupt model.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
+from repro import artifacts
+from repro.artifacts import MANIFEST_FILENAME
 from repro.core.dataflow import CLASSIFIER, DOMAIN_ORDER, FEATURE_SPACE
 from repro.core.detector import MaliciousDomainClassifier
 from repro.core.persistence import (
@@ -35,7 +36,7 @@ from repro.core.persistence import (
     save_classifier,
     save_scaler,
 )
-from repro.errors import ArtifactIntegrityError, DatasetError, NotFittedError
+from repro.errors import DatasetError, NotFittedError
 from repro.ml.preprocessing import StandardScaler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -50,20 +51,10 @@ __all__ = [
 ]
 
 BUNDLE_SCHEMA_VERSION = 1
-MANIFEST_FILENAME = "manifest.json"
 
 _CLASSIFIER_FILE = "classifier.npz"
 _FEATURES_FILE = "features.npz"
 _SCALER_FILE = "scaler.npz"
-
-
-def _sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, streamed in 1 MiB chunks."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 @dataclass(slots=True)
@@ -93,22 +84,6 @@ class BundleManifest:
     feature_dimension: int = 0
     threshold: float = 0.0
     files: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        """Serialize as stable, indented JSON."""
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "BundleManifest":
-        """Parse a manifest written by :meth:`to_json`."""
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"unreadable bundle manifest: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DatasetError("bundle manifest must be a JSON object")
-        known = {f: raw[f] for f in cls.__dataclass_fields__ if f in raw}
-        return cls(**known)
 
 
 @dataclass(slots=True)
@@ -243,59 +218,43 @@ class ModelBundle:
         return self.classifier.decision_function(matrix)
 
     def save(self, directory: str | Path) -> Path:
-        """Write the bundle under ``directory``; returns the directory.
+        """Write the bundle to ``directory``; returns the directory.
 
-        The manifest (with artifact checksums) is written last, so an
-        interrupted save leaves a directory that :meth:`load` rejects
-        instead of a silently truncated model.
+        Follows :mod:`repro.artifacts`: a crash leaves the previous
+        bundle or none, never a torn one. A previous bundle there is
+        replaced; any other non-empty path raises :class:`OSError`.
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        save_classifier(self.classifier, directory / _CLASSIFIER_FILE)
+        directory = Path(directory).absolute()
+        if directory.exists() and not (directory / MANIFEST_FILENAME).is_file():
+            directory.rmdir()  # an empty directory only, never other files
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        with artifacts.staging(
+            directory.with_name(f".{directory.name}.staging")
+        ) as staging:
+            self.seal_into(staging)
+            artifacts.install(staging, directory)
+        return directory
+
+    def seal_into(self, staging: Path) -> None:
+        """Write the bundle's files and manifest into ``staging``, sealed."""
+        save_classifier(self.classifier, staging / _CLASSIFIER_FILE)
         np.savez_compressed(
-            directory / _FEATURES_FILE,
+            staging / _FEATURES_FILE,
             features=self.features,
             domains=np.array(self.domains, dtype=np.str_),
         )
-        artifacts = [_CLASSIFIER_FILE, _FEATURES_FILE]
         if self.scaler is not None:
-            save_scaler(self.scaler, directory / _SCALER_FILE)
-            artifacts.append(_SCALER_FILE)
-        self.manifest.files = {
-            name: _sha256(directory / name) for name in artifacts
-        }
-        (directory / MANIFEST_FILENAME).write_text(
-            self.manifest.to_json(), encoding="utf-8"
-        )
-        return directory
+            save_scaler(self.scaler, staging / _SCALER_FILE)
+        artifacts.seal(staging, self.manifest)
 
     @staticmethod
     def load(directory: str | Path) -> "ModelBundle":
-        """Read and integrity-check a bundle written by :meth:`save`."""
+        """Read a bundle; raises ArtifactIntegrityError if it fails
+        :func:`repro.artifacts.verify`."""
         directory = Path(directory)
-        manifest_path = directory / MANIFEST_FILENAME
-        if not manifest_path.is_file():
-            raise DatasetError(f"no bundle manifest under {directory}")
-        manifest = BundleManifest.from_json(
-            manifest_path.read_text(encoding="utf-8")
+        manifest = artifacts.verify(
+            directory, BundleManifest, BUNDLE_SCHEMA_VERSION, "bundle"
         )
-        if manifest.schema_version != BUNDLE_SCHEMA_VERSION:
-            raise DatasetError(
-                "unsupported bundle schema version "
-                f"{manifest.schema_version}"
-            )
-        for name, expected in manifest.files.items():
-            artifact = directory / name
-            if not artifact.is_file():
-                raise ArtifactIntegrityError(
-                    f"bundle artifact missing: {artifact}"
-                )
-            actual = _sha256(artifact)
-            if actual != expected:
-                raise ArtifactIntegrityError(
-                    f"checksum mismatch for {artifact}: "
-                    f"manifest {expected[:12]}..., file {actual[:12]}..."
-                )
         classifier = load_classifier(directory / _CLASSIFIER_FILE)
         with np.load(directory / _FEATURES_FILE) as archive:
             features = np.asarray(archive["features"], dtype=np.float64)

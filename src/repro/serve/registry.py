@@ -7,12 +7,13 @@ A registry root holds numbered slots::
       v0001/         <- a ModelBundle directory
       v0002/
 
-Publishing writes the bundle into a hidden temporary directory inside
-the root and then ``os.rename``-s it into its slot: readers either see a
-complete, checksummed bundle or no slot at all — never a half-written
-one. The ``CURRENT`` pointer is likewise replaced atomically
-(write-temp + ``os.replace``), so a crash mid-publish leaves the
-previous version live.
+Publishing seals the bundle in a hidden staging directory inside the
+root and then renames it into its slot, following the durable protocol
+of :mod:`repro.artifacts`: readers either see a complete, checksummed
+bundle or no slot at all — never a half-written one. The ``CURRENT``
+pointer is likewise replaced atomically (write-temp, fsync,
+``os.replace``), so a crash mid-publish leaves the previous version
+live.
 
 In-process, :meth:`ModelRegistry.activate` loads a version and swaps it
 into the :attr:`~ModelRegistry.active` slot with a single reference
@@ -22,16 +23,16 @@ assignment — readers on other threads take a consistent
 
 from __future__ import annotations
 
-import os
 import re
-import shutil
 import tempfile
 import threading
 from pathlib import Path
 
+from repro import artifacts
+from repro.artifacts import MANIFEST_FILENAME
 from repro.errors import DatasetError
 from repro.obs.logging import get_logger
-from repro.serve.bundle import MANIFEST_FILENAME, ModelBundle
+from repro.serve.bundle import ModelBundle
 
 __all__ = ["CURRENT_FILENAME", "ModelRegistry"]
 
@@ -98,39 +99,20 @@ class ModelRegistry:
     def publish(self, bundle: ModelBundle) -> int:
         """Atomically add ``bundle`` as the next version; returns it.
 
-        The bundle is fully written (checksums and all) into a temporary
-        directory inside the root, then renamed into its numbered slot.
-        If another publisher claims the slot first, the rename fails and
-        the next number is tried — no version is ever overwritten.
+        The bundle is fully written (checksums and all) into a uniquely
+        named staging directory inside the root, then renamed into its
+        numbered slot. If another publisher claims the slot first, the
+        next number is tried — no version is ever overwritten.
         """
         with self._publish_lock:
-            staging = Path(
-                tempfile.mkdtemp(prefix=".publish-", dir=self.root)
-            )
-            try:
-                bundle.save(staging)
+            with artifacts.staging(
+                Path(tempfile.mkdtemp(prefix=".publish-", dir=self.root))
+            ) as staging:
+                bundle.seal_into(staging)
                 found = self.versions()
                 version = (found[-1] if found else 0) + 1
-                while True:
-                    target = self.slot_path(version)
-                    # POSIX rename would happily replace an *empty*
-                    # target directory; skip any existing slot first
-                    # (the OSError branch covers the race window).
-                    if target.exists():
-                        version += 1
-                        continue
-                    try:
-                        os.rename(staging, target)
-                        break
-                    except OSError:
-                        if target.exists():
-                            version += 1
-                            continue
-                        raise
-            except BaseException:
-                if staging.exists():  # pragma: no cover - cleanup path
-                    shutil.rmtree(staging, ignore_errors=True)
-                raise
+                while not artifacts.claim(staging, self.slot_path(version)):
+                    version += 1
             self._write_current(version)
         _log.info(
             "model_published",
@@ -142,19 +124,7 @@ class ModelRegistry:
 
     def _write_current(self, version: int) -> None:
         """Atomically repoint ``CURRENT`` at ``version``."""
-        handle, temp_name = tempfile.mkstemp(
-            prefix=".current-", dir=self.root
-        )
-        try:
-            with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                stream.write(f"{version}\n")
-            os.replace(temp_name, self.root / CURRENT_FILENAME)
-        except BaseException:  # pragma: no cover - cleanup path
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        artifacts.replace_file(self.root / CURRENT_FILENAME, f"{version}\n")
 
     def load(self, version: int | None = None) -> ModelBundle:
         """Load a bundle from disk (the published one by default)."""

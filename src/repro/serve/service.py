@@ -565,11 +565,17 @@ def _build_handler(service: ScoringService) -> type[BaseHTTPRequestHandler]:
                     self.send_header("Connection", "close")
                     self.close_connection = True
                 self.end_headers()
+                # Counted before the body goes out: a client that has
+                # read its response may scrape /metrics at once.
+                request_counter.inc()
+                if status >= 400:
+                    error_counter.inc()
                 self.wfile.write(body)
             except (BrokenPipeError, ConnectionResetError) as exc:
                 # The client hung up mid-response: routine under load,
-                # not an error — counted separately so serve.requests /
-                # serve.errors keep meaning "responses actually sent".
+                # not an error — counted separately. A response whose
+                # headers never went out counts in neither
+                # serve.requests nor serve.errors.
                 self._responded = True
                 self.close_connection = True
                 disconnect_counter.inc()
@@ -581,9 +587,6 @@ def _build_handler(service: ScoringService) -> type[BaseHTTPRequestHandler]:
                 )
                 return
             self._responded = True
-            request_counter.inc()
-            if status >= 400:
-                error_counter.inc()
 
         def _read_json_body(self) -> Mapping[str, Any] | None:
             """Parsed body, or ``None`` after an error response."""

@@ -212,6 +212,22 @@ class TestChunkedIngestion:
         assert "resumed from checkpoint stage" in capsys.readouterr().err
         assert (fresh_trace / "scores.tsv").read_bytes() == first
 
+    @pytest.mark.parametrize("command", ["detect", "cluster"])
+    def test_resume_over_torn_checkpoint_exits_2(
+        self, command, fresh_trace, tmp_path, capsys
+    ):
+        stage_dir = tmp_path / "ckpt" / "00-ingest"
+        stage_dir.mkdir(parents=True)
+        (stage_dir / "manifest.json").write_text("{torn")
+        code = main(
+            [command, str(fresh_trace), "--checkpoint-dir",
+             str(tmp_path / "ckpt"), "--resume"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro-dns {command}: unreadable checkpoint")
+        assert "Traceback" not in err
+
     @pytest.mark.slow
     def test_cluster_supports_chunked_path(self, fresh_trace, capsys):
         code = main(
@@ -354,6 +370,24 @@ class TestServeCommand:
         ModelRegistry(registry_dir).publish(make_bundle(seed=1))
         assert main(["serve", str(registry_dir), *flags]) == 2
         assert message in capsys.readouterr().err
+
+
+    def test_tampered_bundle_exits_2(self, make_bundle, tmp_path, capsys):
+        from repro.serve import ModelRegistry
+
+        registry = ModelRegistry(tmp_path / "models")
+        registry.publish(make_bundle(seed=1))
+        target = registry.slot_path(1) / "features.npz"
+        raw = bytearray(target.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        target.write_bytes(bytes(raw))
+        assert main(["serve", str(registry.root)]) == 2
+        err = capsys.readouterr().err
+        # Warnings from the reload retries precede the one-line verdict.
+        assert err.splitlines()[-1].startswith(
+            "repro-dns serve: checksum mismatch"
+        )
+        assert "Traceback" not in err
 
 
 class TestObservability:

@@ -15,7 +15,6 @@ from repro.ingest.checkpoint import (
     STAGE_INGEST,
     STAGE_PROJECT,
     STAGE_PRUNE,
-    StageManifest,
 )
 from repro.obs.metrics import default_registry
 
@@ -159,10 +158,6 @@ class TestIntegrityRejection:
         manifest_path.write_text("{not json")
         with pytest.raises(ArtifactIntegrityError, match="unreadable"):
             ckpt.verify(STAGE_PRUNE)
-
-    def test_manifest_from_json_requires_object(self):
-        with pytest.raises(ArtifactIntegrityError):
-            StageManifest.from_json("[1, 2]")
 
 
 class TestResumeBookkeeping:

@@ -7,21 +7,26 @@ outputs — including a hard SIGKILL mid-run, which exercises the
 manifest-written-last atomicity of the checkpoint format.
 """
 
+import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.detector import ClassifierConfig
 from repro.core.pipeline import MaliciousDomainDetector, PipelineConfig
 from repro.dns.dhcp import DhcpLog
 from repro.dns.logfmt import DnsTraceReader
 from repro.dns.types import DnsQuery, DnsResponse
 from repro.embedding.line import LineConfig
+from repro.errors import ArtifactIntegrityError
 from repro.ingest import (
     CheckpointedPipeline,
     ChunkPolicy,
@@ -85,9 +90,9 @@ def reference(trace_dir, dataset_for):
     )
 
 
-def _chunked(trace_dir, checkpointer=None, max_records=700):
+def _chunked(trace_dir, checkpointer=None, max_records=700, config=_CONFIG):
     return CheckpointedPipeline(
-        _CONFIG,
+        config,
         IngestConfig(
             chunk=ChunkPolicy(max_records=max_records),
             checkpoint_every_chunks=3,
@@ -273,3 +278,50 @@ class TestKillAndResume:
         assert resumed.resumed_from == "ingest"
         assert resumed.domains == domains_ref
         assert np.array_equal(resumed.scores, scores)
+
+
+class TestStageSettingsOnResume:
+    """Knobs left out of the fingerprint are checked by their own stage."""
+
+    @pytest.fixture(scope="class")
+    def checkpoint_dir(self, trace_dir, dataset_for, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("knob-checkpoints")
+        checkpointer = PipelineCheckpointer(
+            directory, pipeline_fingerprint(_CONFIG, {"dns": "trace"})
+        )
+        _chunked(trace_dir, checkpointer).run(
+            trace_dir / "dns.log", dataset_for, cluster_k_max=6
+        )
+        return directory
+
+    def _resume(self, trace_dir, dataset_for, directory, config=_CONFIG,
+                seed=0):
+        checkpointer = PipelineCheckpointer(
+            directory, pipeline_fingerprint(config, {"dns": "trace"})
+        )
+        return _chunked(trace_dir, checkpointer, config=config).run(
+            trace_dir / "dns.log", dataset_for, resume=True,
+            cluster_k_max=6, cluster_seed=seed,
+        )
+
+    def test_classify_refuses_other_classifier_settings(
+        self, trace_dir, dataset_for, checkpoint_dir
+    ):
+        config = replace(_CONFIG, classifier=ClassifierConfig(c=5.0))
+        with pytest.raises(ArtifactIntegrityError, match="gamma"):
+            self._resume(trace_dir, dataset_for, checkpoint_dir, config)
+
+    def test_cluster_refuses_other_seed(
+        self, trace_dir, dataset_for, checkpoint_dir, tmp_path
+    ):
+        with pytest.raises(ArtifactIntegrityError, match="seed"):
+            self._resume(trace_dir, dataset_for, checkpoint_dir, seed=7)
+        # A checkpoint written before the settings were recorded resumes.
+        legacy = tmp_path / "legacy"
+        shutil.copytree(checkpoint_dir, legacy)
+        manifest_path = legacy / "05-cluster" / "manifest.json"
+        raw = json.loads(manifest_path.read_text())
+        raw["meta"] = {"clusters": raw["meta"]["clusters"]}
+        manifest_path.write_text(json.dumps(raw))
+        outcome = self._resume(trace_dir, dataset_for, legacy, seed=7)
+        assert outcome.resumed_from == "cluster"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ArtifactIntegrityError, DatasetError, NotFittedError
-from repro.serve import BUNDLE_SCHEMA_VERSION, BundleManifest, ModelBundle
+from repro.serve import BUNDLE_SCHEMA_VERSION, ModelBundle
 from repro.serve.bundle import MANIFEST_FILENAME
 
 
@@ -103,7 +103,7 @@ class TestIntegrity:
         bundle = make_bundle()
         directory = bundle.save(tmp_path / "bundle")
         (directory / MANIFEST_FILENAME).unlink()
-        with pytest.raises(DatasetError, match="manifest"):
+        with pytest.raises(ArtifactIntegrityError, match="manifest"):
             ModelBundle.load(directory)
 
     def test_unsupported_schema_version_rejected(self, make_bundle, tmp_path):
@@ -113,37 +113,13 @@ class TestIntegrity:
         raw = json.loads(manifest_path.read_text())
         raw["schema_version"] = BUNDLE_SCHEMA_VERSION + 1
         manifest_path.write_text(json.dumps(raw))
-        with pytest.raises(DatasetError, match="schema version"):
+        with pytest.raises(ArtifactIntegrityError, match="schema version"):
             ModelBundle.load(directory)
 
     def test_garbage_manifest_rejected(self, make_bundle, tmp_path):
         bundle = make_bundle()
         directory = bundle.save(tmp_path / "bundle")
         (directory / MANIFEST_FILENAME).write_text("not json {")
-        with pytest.raises(DatasetError, match="unreadable"):
+        with pytest.raises(ArtifactIntegrityError, match="unreadable"):
             ModelBundle.load(directory)
 
-
-class TestManifestJson:
-    def test_json_round_trip(self):
-        manifest = BundleManifest(
-            created_at=123.0,
-            config_fingerprint="abc",
-            metrics={"f1": 0.9},
-            domain_count=7,
-            feature_dimension=48,
-            threshold=-0.25,
-            files={"classifier.npz": "00ff"},
-        )
-        assert BundleManifest.from_json(manifest.to_json()) == manifest
-
-    def test_unknown_fields_ignored(self):
-        text = json.dumps(
-            {"schema_version": 1, "domain_count": 3, "novel_field": True}
-        )
-        manifest = BundleManifest.from_json(text)
-        assert manifest.domain_count == 3
-
-    def test_non_object_rejected(self):
-        with pytest.raises(DatasetError, match="JSON object"):
-            BundleManifest.from_json("[1, 2]")
